@@ -12,7 +12,6 @@ from .geometry import (
     DensitySpec,
     KernelProfile,
     PointCloud,
-    eval_density,
     sample_cloud,
     sigma_eta,
     torus_distance,
@@ -60,6 +59,7 @@ from .experiments import (
     consistency_sweep,
     degree_concentration_check,
     gen_labels,
+    make_operator,
     rate_sweep,
     run_trial,
     write_records_csv,

@@ -21,9 +21,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import experiments as xp
-from .continuum import FourierFunction, continuum_solve_uniform
+from .continuum import FourierFunction
 from .geometry import (
-    INDICATOR,
     UNIFORM,
     DensitySpec,
     KernelProfile,
@@ -153,7 +152,13 @@ def _load_points_csv(path, d):
             labels.append(nums[d])
     if not points:
         raise ValidationError(f"{path!r} contains no data rows")
-    return np.array(points), np.array(labels)
+    points = np.array(points)
+    if not np.all(np.isfinite(points)):
+        raise ValidationError(f"{path!r} has a non-finite coordinate")
+    # wrap onto the torus; x % 1.0 rounds to 1.0 for tiny negative x
+    points %= 1.0
+    points[points == 1.0] = 0.0
+    return points, np.array(labels)
 
 
 def cmd_denoise(params, threads, dry_run):
@@ -171,7 +176,6 @@ def cmd_denoise(params, threads, dry_run):
 
     if "input_csv" in params:
         points, y = _load_points_csv(params["input_csv"], d)
-        points = points % 1.0
     else:
         n = int(params["n"])
         g = parse_modes(params["modes"], d)
@@ -180,30 +184,26 @@ def cmd_denoise(params, threads, dry_run):
         points = cloud.points
         y = xp.gen_labels(g, cloud, noise, xp.derive_seed(seed, 1))
 
-    graph = build_graph(PointCloud(points, UNIFORM, seed), eps, kernel)
-    try:
-        report = solve_resolvent(resolvent_problem(graph, y, tau, s), tol=tol)
-    except SolverError as err:
-        raise err
+    op, _, order = xp.make_operator(points, d, eps, kernel, want_order=True)
+    y_op = y if order is None else y[order]
+    report = solve_resolvent(resolvent_problem(op, y_op, tau, s), tol=tol)
+    reg = dirichlet_energy(op, report.solution, s)
     u = report.solution
+    if order is not None:  # records.csv keeps the input row order
+        u = np.empty_like(u)
+        u[order] = report.solution
 
-    out = _outdir(params)
-    with open(os.path.join(out, "records.csv"), "w", encoding="utf-8") as f:
+    with open(os.path.join(_outdir(params), "records.csv"), "w", encoding="utf-8") as f:
         f.write(",".join([f"x{i + 1}" for i in range(d)] + ["y", "u"]) + "\n")
         for row, yi, ui in zip(points, y, u):
             f.write(",".join(repr(float(v)) for v in row) + f",{float(yi)!r},{float(ui)!r}\n")
-    reg = dirichlet_energy(graph, u, s)
-    energy = l2_mu_n(u - y) ** 2 + tau * reg
-    summary = {
-        "energy": energy,
+    return {
+        "energy": l2_mu_n(u - y) ** 2 + tau * reg,
         "regularizer": reg,
         "solver_iterations": report.iterations,
         "solver_residual": report.final_relative_residual,
         "total_err_vs_labels": l2_mu_n(u - y),
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
-    _echo_config(out, params)
-    return summary
 
 
 def cmd_sweep(params, threads, dry_run):
@@ -240,9 +240,8 @@ def cmd_sweep(params, threads, dry_run):
     if result.failure_count == len(result.records):
         raise SolverError("every trial failed", None)
 
-    out = _outdir(params)
-    xp.write_records_csv(result.records, os.path.join(out, "records.csv"))
-    summary = {
+    xp.write_records_csv(result.records, os.path.join(_outdir(params), "records.csv"))
+    return {
         "slope": result.slope_vs_rate,
         "stderr": result.slope_vs_rate_stderr,
         "predicted": result.predicted_exponent,
@@ -251,9 +250,6 @@ def cmd_sweep(params, threads, dry_run):
         "failures": result.failure_count,
         "config": resolved,
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
-    _echo_config(out, params)
-    return summary
 
 
 def cmd_consistency(params, threads, dry_run):
@@ -274,12 +270,8 @@ def cmd_consistency(params, threads, dry_run):
         return resolved
 
     result = xp.consistency_sweep(u, UNIFORM, s, eps_grid, rule, trials, seed, n_cap=n_cap)
-    out = _outdir(params)
-    xp.write_records_csv(result.records, os.path.join(out, "records.csv"))
-    summary = {"slope": result.slope, "stderr": result.slope_stderr, "config": resolved}
-    _write_json(os.path.join(out, "summary.json"), summary)
-    _echo_config(out, params)
-    return summary
+    xp.write_records_csv(result.records, os.path.join(_outdir(params), "records.csv"))
+    return {"slope": result.slope, "stderr": result.slope_stderr, "config": resolved}
 
 
 def cmd_degrees(params, threads, dry_run):
@@ -295,8 +287,7 @@ def cmd_degrees(params, threads, dry_run):
         n, d, eps, parse_density(params), parse_kernel(params), trials, seed,
         cap_mult=float(params.get("cap_mult", "10")),
     )
-    out = _outdir(params)
-    summary = {
+    return {
         "min_normalized_degree": summary_obj.min_normalized_degree,
         "max_normalized_degree": summary_obj.max_normalized_degree,
         "max_neighbor_count": summary_obj.max_neighbor_count,
@@ -304,9 +295,6 @@ def cmd_degrees(params, threads, dry_run):
         "within_cap": summary_obj.within_cap,
         "config": resolved,
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
-    _echo_config(out, params)
-    return summary
 
 
 def cmd_spectrum(params, threads, dry_run):
@@ -315,7 +303,6 @@ def cmd_spectrum(params, threads, dry_run):
     seed = int(params.get("seed", "0"))
     if "input_csv" in params:
         points, _ = _load_points_csv(params["input_csv"], d)
-        points = points % 1.0
     else:
         n = int(params.get("n", "100"))
         points = sample_cloud(parse_density(params), n, d, seed).points
@@ -324,11 +311,7 @@ def cmd_spectrum(params, threads, dry_run):
         return resolved
     graph = build_graph(PointCloud(points, UNIFORM, seed), eps, parse_kernel(params))
     vals, _ = dense_spectrum(graph, threshold=int(params.get("dense_threshold", "500")))
-    out = _outdir(params)
-    summary = {"eigenvalues": [float(v) for v in vals], "config": resolved}
-    _write_json(os.path.join(out, "summary.json"), summary)
-    _echo_config(out, params)
-    return summary
+    return {"eigenvalues": [float(v) for v in vals], "config": resolved}
 
 
 COMMANDS = {
@@ -357,15 +340,16 @@ def main(argv=None):
         params = _collect_params(args, extras)
         threads = _resolve_threads(args, params)
         result = COMMANDS[args.command](params, threads, args.dry_run)
-    except (ValidationError, KeyError, ValueError) as err:
+        if not args.dry_run:
+            out = _outdir(params)
+            _write_json(os.path.join(out, "summary.json"), result)
+            _echo_config(out, params)
+    except (ValidationError, KeyError, ValueError, MemoryError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
-    except MemoryError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

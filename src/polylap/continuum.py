@@ -95,9 +95,6 @@ class FourierFunction:
     def max_abs_mode(self):
         return max((max(abs(c) for c in k) for k in self.modes), default=0)
 
-    def serialize(self):
-        return [(list(k), a, b) for k, (a, b) in sorted(self.modes.items())]
-
 
 def mode_multiplier(k, sigma, s):
     k2 = sum(c * c for c in k)

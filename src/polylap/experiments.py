@@ -45,9 +45,7 @@ from .graph import (
     degree_statistics,
     l2_mu_n,
 )
-from .solver import SolverError, ansatz_signal, resolvent_problem, solve_resolvent
-
-DEFAULT_TOL = 1e-10
+from .solver import DEFAULT_TOL, SolverError, ansatz_signal, resolvent_problem, solve_resolvent
 
 
 def derive_seed(base_seed, *path) -> int:
@@ -163,10 +161,14 @@ class ExperimentRecord:
 RECORD_FIELDS = [f.name for f in fields(ExperimentRecord)]
 
 
-def _make_operator(points, d, eps, kernel, force_explicit=False, want_order=False):
+def make_operator(points, d, eps, kernel, force_explicit=False, want_order=False):
     """Laplacian operator, node coordinates in operator order, and the
     permutation mapping input order to operator order (None if unchanged
-    or not requested; the permutation costs memory at very large n)."""
+    or not requested; the permutation costs memory at very large n).
+
+    The one place that picks the form: d = 1 with the indicator kernel gets
+    the O(n) IntervalLaplacian, everything else the explicit epsilon-graph.
+    """
     if d == 1 and kernel.kind == "indicator" and not force_explicit:
         order = np.argsort(points[:, 0], kind="stable") if want_order else None
         op = IntervalLaplacian(points[:, 0], eps)
@@ -180,7 +182,7 @@ def run_trial(cfg: TrialConfig) -> ExperimentRecord:
     cloud_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 0)
     noise_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 1)
     cloud = sample_cloud(UNIFORM, cfg.n, cfg.d, cloud_seed)
-    op, nodes, order = _make_operator(
+    op, nodes, order = make_operator(
         cloud.points, cfg.d, cfg.eps, cfg.kernel, cfg.force_explicit, want_order=True
     )
     # labels are drawn in sampling order so the (point, noise) pairing does
@@ -419,7 +421,7 @@ def consistency_sweep(
         for t in range(trials):
             seed = derive_seed(base_seed, i, t)
             cloud = sample_cloud(UNIFORM, n, d, seed)
-            op, nodes, _ = _make_operator(cloud.points, d, eps, kernel)
+            op, nodes, _ = make_operator(cloud.points, d, eps, kernel)
             del cloud  # the fast path keeps its own sorted copy; free the original
             err, stoch = _split_residuals(
                 apply_poly_laplacian(op, u.evaluate(nodes), s), nodes, ref, ratio
@@ -498,7 +500,7 @@ def ansatz_norm_sweep(
         vals = []
         for t in range(trials):
             cloud = sample_cloud(UNIFORM, n, d, derive_seed(base_seed, i, t, 0))
-            op, _, _ = _make_operator(cloud.points, d, eps, kernel)
+            op, _, _ = make_operator(cloud.points, d, eps, kernel)
             rng = make_rng(derive_seed(base_seed, i, t, 1))
             xi = noise.sample(rng, n)
             w = ansatz_signal(op, xi, tau, s)

@@ -15,12 +15,6 @@ import numpy as np
 from scipy import integrate, special
 
 
-def wrap_coords(x):
-    """Reduce coordinates mod 1 into [0,1)."""
-    x = np.asarray(x, dtype=float)
-    return x - np.floor(x)
-
-
 def torus_distance(x, y):
     """Wrap-around Euclidean distance between points (or arrays of points).
 
@@ -111,10 +105,6 @@ class DensitySpec:
 
 
 UNIFORM = DensitySpec("uniform")
-
-
-def eval_density(spec: DensitySpec, x):
-    return spec.eval(x)
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,28 @@
 """Epsilon-neighborhood kernel graphs and matrix-free graph Laplacians.
 
 Weights are stored already scaled, W_ij = eps^(-d) * eta(dist/eps); the
-Laplacian applies the extra 2/(n eps^2) factor at apply time.  Construction
-uses a periodic cell grid of side >= eps so only 3^d neighboring cells are
-scanned per cell.  Neighbor lists are sorted by index, which makes
-floating-point sums reproducible.
+Laplacian applies the extra 2/(n eps^2) factor at apply time.  Candidate
+pairs come from a periodic `scipy.spatial.cKDTree`; W is assembled once as a
+CSR matrix with neighbor lists sorted by index, which makes floating-point
+sums reproducible.
 
 For d = 1 with the indicator kernel the neighborhood of each point is a
 contiguous window in sorted order, so `IntervalLaplacian` applies the same
 operator in O(n) per product without storing any edges.  It is exactly
 equivalent to the explicit graph (tested) and is what makes the large-n
-sweeps fit in memory.
+sweeps fit in memory.  `experiments.make_operator` is the one place that
+picks between the two forms.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
-from .geometry import INDICATOR, KernelProfile, PointCloud
+from .geometry import INDICATOR, KernelProfile, PointCloud, torus_distance
 
 DENSE_THRESHOLD = 500
 
@@ -38,31 +39,35 @@ def inner_mu_n(u, v):
 
 @dataclass(frozen=True)
 class KernelGraph:
-    """Sparse symmetric weight structure in CSR layout (both directions stored)."""
+    """Symmetric weight matrix W, held once as a sorted CSR matrix (both
+    directions stored); indptr, indices and weights are read-only views."""
 
     n: int
     d: int
     eps: float
     kernel: KernelProfile
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
+    w: sp.csr_matrix
     degrees: np.ndarray
+
+    @property
+    def indptr(self):
+        return _readonly(self.w.indptr)
+
+    @property
+    def indices(self):
+        return _readonly(self.w.indices)
+
+    @property
+    def weights(self):
+        return _readonly(self.w.data)
 
     @property
     def edge_count(self):
         """Number of undirected edges."""
-        return self.indices.size // 2
+        return self.w.nnz // 2
 
     def neighbor_counts(self):
-        return np.diff(self.indptr)
-
-    def weight_matvec(self, u):
-        """W @ u using the stored CSR structure."""
-        w = sp.csr_matrix(
-            (self.weights, self.indices, self.indptr), shape=(self.n, self.n)
-        )
-        return w @ u
+        return np.diff(self.w.indptr)
 
     def apply(self, u):
         """(2/(n eps^2)) (D - W) u."""
@@ -70,7 +75,13 @@ class KernelGraph:
         if u.shape != (self.n,):
             raise ValueError(f"signal length {u.shape} does not match n={self.n}")
         scale = 2.0 / (self.n * self.eps**2)
-        return scale * (self.degrees * u - self.weight_matvec(u))
+        return scale * (self.degrees * u - self.w @ u)
+
+
+def _readonly(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _validate_eps(eps):
@@ -80,80 +91,38 @@ def _validate_eps(eps):
         raise ValueError("eps must be <= 1/2 on the unit torus")
 
 
+def _from_pairs(n, d, eps, kernel, i, j, w) -> KernelGraph:
+    """KernelGraph with W_ij = W_ji = w for each unordered pair (i, j)."""
+    coo = sp.coo_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    )
+    csr = coo.tocsr()
+    csr.sort_indices()
+    # row sums accumulated in stored order, so apply(u) is reproducible
+    return KernelGraph(n, d, float(eps), kernel, csr, csr @ np.ones(n))
+
+
 def build_graph(cloud: PointCloud, eps: float, kernel: KernelProfile = INDICATOR) -> KernelGraph:
     """Exact epsilon-graph: all and only pairs with torus distance < eps.
 
-    Periodic cell grid with side >= eps; each unordered cell pair is visited
-    once, so W is symmetric by construction.
+    A periodic k-d tree proposes the pairs within a slightly larger radius;
+    the torus distance and the kernel weight alone decide which of them are
+    edges, so the edge set does not depend on how the tree rounds distances.
     """
     _validate_eps(eps)
     pts = cloud.points
     n, d = pts.shape
     if n == 0:
         raise ValueError("cloud is empty")
-
-    m = max(1, int(np.floor(1.0 / eps)))  # cells per axis, side 1/m >= eps
-    cell_axes = np.minimum((pts * m).astype(np.int64), m - 1)
-    strides = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    cell_id = cell_axes @ strides
-
-    order = np.argsort(cell_id, kind="stable")
-    sorted_ids = cell_id[order]
-    occupied, starts = np.unique(sorted_ids, return_index=True)
-    ends = np.append(starts[1:], n)
-    members = {int(c): order[s:e] for c, s, e in zip(occupied, starts, ends)}
-
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)), dtype=np.int64)
-    rows, cols, vals = [], [], []
-
-    def _edges_between(ia, ib, intra):
-        diff = np.abs(pts[ia][:, None, :] - pts[ib][None, :, :])
-        np.minimum(diff, 1.0 - diff, out=diff)
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        mask = dist < eps
-        if intra:
-            mask &= np.tri(ia.size, k=-1, dtype=bool)  # each pair once, no diagonal
-        if not mask.any():
-            return
-        ai, bi = np.nonzero(mask)
-        w = kernel.eval(dist[ai, bi] / eps) * eps ** (-d)
-        keep = w > 0.0
-        rows.append(ia[ai[keep]])
-        cols.append(ib[bi[keep]])
-        vals.append(w[keep])
-
-    for c in occupied:
-        axes = np.array(np.unravel_index(int(c), (m,) * d), dtype=np.int64)
-        nbr_ids = np.unique(((axes + offsets) % m) @ strides)
-        ia = members[int(c)]
-        for nc in nbr_ids:
-            if nc < c or int(nc) not in members:
-                continue
-            if nc == c:
-                _edges_between(ia, ia, intra=True)
-            else:
-                _edges_between(ia, members[int(nc)], intra=False)
-
-    if rows:
-        i = np.concatenate(rows)
-        j = np.concatenate(cols)
-        w = np.concatenate(vals)
-        coo = sp.coo_matrix(
-            (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(n, n),
-        )
-        csr = coo.tocsr()
-        csr.sort_indices()
-        indptr, indices, weights = csr.indptr, csr.indices, csr.data
-    else:
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = np.zeros(0, dtype=np.int64)
-        weights = np.zeros(0)
-
-    degrees = np.zeros(n)
-    np.add.at(degrees, np.repeat(np.arange(n), np.diff(indptr)), weights)
-
-    return KernelGraph(n, d, float(eps), kernel, indptr, indices, weights, degrees)
+    if not (pts.min() >= 0.0 and pts.max() < 1.0):  # NaN fails both tests
+        raise ValueError("points must be finite and lie in [0,1)^d")
+    pairs = cKDTree(pts, boxsize=1.0).query_pairs(eps * (1 + 1e-12), output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    dist = torus_distance(pts[i], pts[j])
+    w = kernel.eval(dist / eps) * eps ** (-d)
+    keep = (dist < eps) & (w > 0.0)
+    return _from_pairs(n, d, eps, kernel, i[keep], j[keep], w[keep])
 
 
 def apply_laplacian(graph, u):
@@ -208,9 +177,7 @@ def dense_spectrum(graph: KernelGraph, threshold: int = DENSE_THRESHOLD):
         raise ValueError(
             f"n={graph.n} exceeds dense threshold {threshold}; use the matrix-free path"
         )
-    w = sp.csr_matrix(
-        (graph.weights, graph.indices, graph.indptr), shape=(graph.n, graph.n)
-    ).toarray()
+    w = graph.w.toarray()
     scale = 2.0 / (graph.n * graph.eps**2)
     lap = scale * (np.diag(graph.degrees) - w)
     vals, vecs = np.linalg.eigh(lap)
@@ -241,6 +208,8 @@ class IntervalLaplacian:
         n = x.size
         if n == 0:
             raise ValueError("cloud is empty")
+        if not (x[0] >= 0.0 and x[-1] < 1.0):  # sorting puts NaN last
+            raise ValueError("points must be finite and lie in [0,1)")
         # Conceptually the points are tripled to (x-1, x, x+1) and each window
         # (x_i - eps, x_i + eps) is located around the middle copy.  Since
         # eps <= 1/2 the window endpoints spill at most one period either way,
@@ -317,16 +286,7 @@ def load_edgelist(path) -> KernelGraph:
             rows.append(int(a))
             cols.append(int(b))
             vals.append(float(w))
-    i = np.array(rows, dtype=np.int64)
-    j = np.array(cols, dtype=np.int64)
-    w = np.array(vals)
-    coo = sp.coo_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    )
-    csr = coo.tocsr()
-    csr.sort_indices()
-    degrees = np.asarray(csr.sum(axis=1)).reshape(-1)
-    return KernelGraph(
-        n, d, eps, KernelProfile(kind), csr.indptr, csr.indices, csr.data, degrees
+    return _from_pairs(
+        n, d, eps, KernelProfile(kind), np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64), np.array(vals),
     )

@@ -37,6 +37,8 @@ class ResolventProblem:
         y = np.asarray(self.y, dtype=float)
         if y.shape != (self.graph.n,):
             raise ValueError("label length does not match graph size")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("labels must be finite")
         object.__setattr__(self, "y", y)
 
 
@@ -71,9 +73,12 @@ def ansatz_signal(graph, xi, tau, s: int = 1):
         raise ValueError("s must be >= 1")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    xi = np.asarray(xi, dtype=float)
-    diag = tau * (2.0 * graph.degrees / (graph.n * graph.eps**2)) ** s + 1.0
-    return xi / diag
+    return np.asarray(xi, dtype=float) / _shifted_diagonal(graph, tau, s)
+
+
+def _shifted_diagonal(graph, tau, s):
+    """Diagonal of tau * Delta^s + I with only the degree term kept."""
+    return tau * (2.0 * graph.degrees / (graph.n * graph.eps**2)) ** s + 1.0
 
 
 def _operator(graph, tau, s):
@@ -113,7 +118,7 @@ def solve_resolvent(
 
     apply_a = _operator(p.graph, p.tau, int(p.s))
     if preconditioner == "DiagonalAnsatz":
-        diag = p.tau * (2.0 * p.graph.degrees / (n * p.graph.eps**2)) ** p.s + 1.0
+        diag = _shifted_diagonal(p.graph, p.tau, int(p.s))
         apply_m = lambda r: r / diag
     else:
         apply_m = lambda r: r
@@ -180,4 +185,4 @@ def solve_resolvent_dense(p: ResolventProblem, threshold: int = 500):
 
 
 def resolvent_problem(graph, y, tau, s=1):
-    return ResolventProblem(graph, np.asarray(y, dtype=float), float(tau), int(s))
+    return ResolventProblem(graph, np.asarray(y, dtype=float), float(tau), s)

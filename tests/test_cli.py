@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from polylap import cli
-from polylap.experiments import NoiseSpec, derive_seed, gen_labels
-from polylap.geometry import UNIFORM, PointCloud, sample_cloud
+from polylap import experiments as xp
+from polylap import graph as graph_module
+from polylap.experiments import NoiseSpec, derive_seed, gen_labels, make_operator
+from polylap.geometry import INDICATOR, UNIFORM, PointCloud, sample_cloud
 from polylap.graph import build_graph, l2_mu_n
 from polylap.solver import resolvent_problem, solve_resolvent
 
@@ -92,7 +94,8 @@ class TestDenoise:
 
     def test_pipeline_matches_library(self, tmp_path):
         # the CLI path (generated cloud -> labels -> solve) reproduces the
-        # library composition exactly, byte-for-byte through the CSV
+        # library's make_operator composition byte-for-byte through the CSV,
+        # and the explicit graph up to rounding
         out = tmp_path / "out"
         seed, n, d, eps, tau, s = 9, 60, 1, 0.2, 0.05, 1
         code = run_cli(
@@ -106,11 +109,52 @@ class TestDenoise:
         g = cli.parse_modes("1:1.0:0.0;2:0.0:0.5", d)
         cloud = sample_cloud(UNIFORM, n, d, seed)
         y = gen_labels(g, cloud, NoiseSpec("gaussian", 0.1), derive_seed(seed, 1))
-        graph = build_graph(PointCloud(cloud.points, UNIFORM, seed), eps)
-        u = solve_resolvent(resolvent_problem(graph, y, tau, s)).solution
+        op, _, order = make_operator(cloud.points, d, eps, INDICATOR, want_order=True)
+        u = np.empty(n)
+        u[order] = solve_resolvent(resolvent_problem(op, y[order], tau, s)).solution
         assert np.array_equal(rows[:, 0], cloud.points[:, 0])
         assert np.array_equal(rows[:, 1], y)
         assert np.array_equal(rows[:, 2], u)
+
+        graph = build_graph(PointCloud(cloud.points, UNIFORM, seed), eps)
+        u_explicit = solve_resolvent(resolvent_problem(graph, y, tau, s)).solution
+        assert rows[:, 2] == pytest.approx(u_explicit, rel=1e-9)
+
+    def test_d1_indicator_builds_no_explicit_graph(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("build_graph called for a d=1 indicator cloud")
+
+        for module in (cli, xp, graph_module):
+            monkeypatch.setattr(module, "build_graph", refuse)
+        code = run_cli(
+            "denoise", "--out", str(tmp_path / "out"), "--d=1", "--eps=0.05",
+            "--n=2000", "--modes=1:1.0:0.0",
+        )
+        assert code == 0
+
+    def test_input_points_wrap_into_unit_torus(self, tmp_path):
+        # -1e-18 % 1.0 rounds to 1.0; the point must land on 0.0 instead
+        outs = []
+        for x in ("-1e-18", "0.0"):
+            csv = tmp_path / f"in{len(outs)}.csv"
+            csv.write_text(f"x1,x2,y\n{x},0.5,1.0\n0.95,0.5,0.0\n0.3,0.3,2.0\n")
+            out = tmp_path / f"out{len(outs)}"
+            code = run_cli(
+                "denoise", "--out", str(out), "--d=2", "--eps=0.2", "--tau=0.1",
+                f"--input-csv={csv}",
+            )
+            assert code == 0
+            outs.append((out / "records.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("row", ["0.1,nan", "0.1,inf", "nan,1.0", "inf,1.0"])
+    def test_non_finite_input_is_validation_error(self, tmp_path, capsys, row):
+        csv = tmp_path / "in.csv"
+        csv.write_text(f"x1,y\n0.2,1.0\n{row}\n0.4,0.0\n")
+        code = run_cli("denoise", "--out", str(tmp_path / "o"), "--eps=0.2",
+                       f"--input-csv={csv}")
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -12,7 +12,6 @@ from polylap.geometry import (
     UNIFORM,
     DensitySpec,
     KernelProfile,
-    eval_density,
     make_rng,
     sample_cloud,
     sigma_eta,
@@ -101,7 +100,7 @@ class TestSigmaEta:
 class TestDensity:
     def test_uniform_is_one(self):
         x = make_rng(4).random((20, 2))
-        assert np.all(eval_density(UNIFORM, x) == 1.0)
+        assert np.all(UNIFORM.eval(x) == 1.0)
 
     def test_cosine_bump_values(self):
         spec = DensitySpec("cosine_bump", 0.5, (1,))

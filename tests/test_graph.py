@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylap.geometry import (
     INDICATOR,
@@ -89,12 +91,23 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(cloud, 0.6)
 
+    @pytest.mark.parametrize("bad", [-0.2, 1.0, 1.7, np.nan, np.inf, -np.inf])
+    def test_points_outside_unit_torus(self, bad):
+        pts = sample_cloud(UNIFORM, 10, 2, 0).points.copy()
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match=r"\[0,1\)"):
+            build_graph(PointCloud(pts, UNIFORM, 0), 0.2)
+        with pytest.raises(ValueError, match=r"\[0,1\)"):
+            IntervalLaplacian(pts[:, 1], 0.2)
+
     def test_invariants(self):
         g = build_graph(sample_cloud(UNIFORM, 200, 2, 5), 0.15, PLATEAU)
         w = sp.csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
         # no diagonal, exact symmetry, degrees equal row sums
         assert w.diagonal().max() == 0.0
         assert (w != w.T).nnz == 0
+        with pytest.raises(ValueError):
+            g.weights[0] = 1.0  # W is stored once; the views are read-only
         rows = np.asarray(w.sum(axis=1)).reshape(-1)
         assert np.allclose(rows, g.degrees, rtol=1e-12, atol=0)
         # every stored edge is inside the radius
@@ -128,6 +141,28 @@ class TestBuildGraph:
             assert set(got) == set(ref), (d, case)
             for k in ref:
                 assert got[k] == pytest.approx(ref[k], rel=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 3),
+        eps_64ths=st.integers(1, 32),
+        kernel=st.sampled_from([INDICATOR, PLATEAU]),
+    )
+    def test_brute_force_on_grid_points(self, data, d, eps_64ths, kernel):
+        # grid points and eps in multiples of 1/64 put pairs exactly at
+        # distance eps, also across the wrap; none of them may be an edge
+        cells = data.draw(st.lists(
+            st.tuples(*[st.integers(0, 63)] * d), min_size=1, max_size=40
+        ))
+        points = np.array(cells, dtype=float) / 64.0
+        eps = eps_64ths / 64.0
+        g = build_graph(PointCloud(points, UNIFORM, 0), eps, kernel)
+        ref = brute_force_edges(points, eps, kernel, d)
+        got = stored_edges(g)
+        assert set(got) == set(ref)
+        for k in ref:
+            assert got[k] == pytest.approx(ref[k], rel=1e-14)
 
     def test_duplicate_points_legal(self):
         cloud = PointCloud(np.array([[0.3], [0.3]]), UNIFORM, 0)

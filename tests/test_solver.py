@@ -34,6 +34,23 @@ class TestResolventProblem:
         with pytest.raises(ValueError):
             ResolventProblem(g, np.zeros(3), 1.0, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_labels(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            resolvent_problem(two_point_graph(), [1.0, bad], 0.1)
+
+    def test_fractional_s_passes_through(self):
+        g = random_graph(40, 1, 27)
+        y = make_rng(28).standard_normal(40)
+        p = resolvent_problem(g, y, 0.01, 1.5)
+        assert p.s == 1.5
+        with pytest.raises(ValueError, match="integer s"):
+            solve_resolvent(p)
+        vals, vecs = dense_spectrum(g)
+        filt = 1.0 + 0.01 * np.clip(vals, 0.0, None) ** 1.5
+        expected = vecs @ ((vecs.T @ y / g.n) / filt)
+        assert np.array_equal(solve_resolvent_dense(p), expected)
+
 
 class TestSolveResolvent:
     def test_tau_zero_identity(self):
