@@ -16,20 +16,16 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import asdict
 from multiprocessing import Pool
 
 import numpy as np
 
 from . import experiments as xp
 from .continuum import FourierFunction
-from .geometry import (
-    UNIFORM,
-    DensitySpec,
-    KernelProfile,
-    PointCloud,
-    sample_cloud,
-)
-from .graph import build_graph, dense_spectrum, dirichlet_energy, l2_mu_n
+from .geometry import UNIFORM, DensitySpec, KernelProfile, sample_cloud
+from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
+from .graph import DENSE_THRESHOLD, dense_spectrum, dirichlet_energy, l2_mu_n
 from .solver import SolverError, resolvent_problem, solve_resolvent
 
 EXIT_OK = 0
@@ -72,12 +68,19 @@ def parse_density(params):
 
 def parse_noise(params):
     return xp.NoiseSpec(
-        params.get("noise", "gaussian"), float(params.get("noise_scale", "0.1"))
+        **_given(params, str, kind="noise"), **_given(params, float, scale="noise_scale")
     )
 
 
 def parse_kernel(params):
     return KernelProfile(params.get("kernel", "indicator"))
+
+
+def _given(params, conv, *keys, **renamed):
+    """{arg: conv(params[key])} for each key the user set (a key named like
+    its argument, or arg=key); the library default applies to the rest."""
+    names = {**{key: key for key in keys}, **renamed}
+    return {arg: conv(params[key]) for arg, key in names.items() if key in params}
 
 
 def _collect_params(args, extras):
@@ -166,7 +169,7 @@ def cmd_denoise(params, threads, dry_run):
     s = int(params.get("s", "1"))
     eps = float(params["eps"])
     tau = float(params.get("tau", "0.01"))
-    tol = float(params.get("tol", "1e-10"))
+    tol_kw = _given(params, float, "tol")
     kernel = parse_kernel(params)
     seed = int(params.get("seed", "0"))
     if eps <= 0 or eps > 0.5:
@@ -186,7 +189,7 @@ def cmd_denoise(params, threads, dry_run):
 
     op, _, order = xp.make_operator(points, d, eps, kernel, want_order=True)
     y_op = y if order is None else y[order]
-    report = solve_resolvent(resolvent_problem(op, y_op, tau, s), tol=tol)
+    report = solve_resolvent(resolvent_problem(op, y_op, tau, s), **tol_kw)
     reg = dirichlet_energy(op, report.solution, s)
     u = report.solution
     if order is not None:  # records.csv keeps the input row order
@@ -212,17 +215,13 @@ def cmd_sweep(params, threads, dry_run):
     n_grid = tuple(int(v) for v in params.get(
         "n_grid", "1024,2048,4096,8192,16384,32768").split(","))
     schedule = xp.Schedule(
-        d=d,
-        s=s,
-        n_grid=n_grid,
-        eps_mult=float(params.get("eps_mult", "1.5")),
-        tau_mult=float(params.get("tau_mult", "1.0")),
+        d=d, s=s, n_grid=n_grid, **_given(params, float, "eps_mult", "tau_mult")
     )
     g = parse_modes(params.get("modes", "1:1.0:0.0;2:0.0:0.5"), d)
     noise = parse_noise(params)
     trials = int(params.get("trials", "10"))
     seed = int(params.get("seed", "0"))
-    tol = float(params.get("tol", "1e-10"))
+    tol_kw = _given(params, float, "tol")
     resolved = {
         "command": "sweep", "d": d, "s": s, "n_grid": list(n_grid),
         "eps": [schedule.eps_of(n) for n in n_grid],
@@ -234,9 +233,9 @@ def cmd_sweep(params, threads, dry_run):
 
     if threads > 1:
         with Pool(threads) as pool:
-            result = xp.rate_sweep(schedule, g, noise, trials, seed, tol=tol, map_fn=pool.map)
+            result = xp.rate_sweep(schedule, g, noise, trials, seed, map_fn=pool.map, **tol_kw)
     else:
-        result = xp.rate_sweep(schedule, g, noise, trials, seed, tol=tol)
+        result = xp.rate_sweep(schedule, g, noise, trials, seed, **tol_kw)
     if result.failure_count == len(result.records):
         raise SolverError("every trial failed", None)
 
@@ -260,7 +259,6 @@ def cmd_consistency(params, threads, dry_run):
     k_mult = float(params.get("k_mult", "40"))
     trials = int(params.get("trials", "5"))
     seed = int(params.get("seed", "0"))
-    n_cap = int(params.get("n_cap", "100000000"))
     rule = xp.default_n_rule(k_mult, d, s)
     resolved = {
         "command": "consistency", "d": d, "s": s, "eps_grid": eps_grid,
@@ -269,7 +267,9 @@ def cmd_consistency(params, threads, dry_run):
     if dry_run:
         return resolved
 
-    result = xp.consistency_sweep(u, UNIFORM, s, eps_grid, rule, trials, seed, n_cap=n_cap)
+    result = xp.consistency_sweep(
+        u, UNIFORM, s, eps_grid, rule, trials, seed, **_given(params, int, "n_cap")
+    )
     xp.write_records_csv(result.records, os.path.join(_outdir(params), "records.csv"))
     return {"slope": result.slope, "stderr": result.slope_stderr, "config": resolved}
 
@@ -283,34 +283,32 @@ def cmd_degrees(params, threads, dry_run):
     resolved = {"command": "degrees", "n": n, "d": d, "eps": eps, "trials": trials}
     if dry_run:
         return resolved
-    summary_obj = xp.degree_concentration_check(
+    summary = xp.degree_concentration_check(
         n, d, eps, parse_density(params), parse_kernel(params), trials, seed,
-        cap_mult=float(params.get("cap_mult", "10")),
+        **_given(params, float, "cap_mult"),
     )
-    return {
-        "min_normalized_degree": summary_obj.min_normalized_degree,
-        "max_normalized_degree": summary_obj.max_normalized_degree,
-        "max_neighbor_count": summary_obj.max_neighbor_count,
-        "neighbor_cap": summary_obj.neighbor_cap,
-        "within_cap": summary_obj.within_cap,
-        "config": resolved,
-    }
+    return {**asdict(summary), "config": resolved}
 
 
 def cmd_spectrum(params, threads, dry_run):
     d = int(params.get("d", "1"))
     eps = float(params["eps"])
     seed = int(params.get("seed", "0"))
+    threshold = int(params.get("dense_threshold", DENSE_THRESHOLD))
     if "input_csv" in params:
         points, _ = _load_points_csv(params["input_csv"], d)
+        n = len(points)
     else:
-        n = int(params.get("n", "100"))
+        points, n = None, int(params.get("n", "100"))
+    if n > threshold:  # before any cloud is sampled or operator built
+        raise ValidationError(f"n={n} exceeds the dense spectrum threshold {threshold}")
+    if points is None:
         points = sample_cloud(parse_density(params), n, d, seed).points
-    resolved = {"command": "spectrum", "d": d, "eps": eps, "n": len(points)}
+    resolved = {"command": "spectrum", "d": d, "eps": eps, "n": n}
     if dry_run:
         return resolved
-    graph = build_graph(PointCloud(points, UNIFORM, seed), eps, parse_kernel(params))
-    vals, _ = dense_spectrum(graph, threshold=int(params.get("dense_threshold", "500")))
+    op, _, _ = xp.make_operator(points, d, eps, parse_kernel(params))
+    vals, _ = dense_spectrum(op, threshold=threshold)
     return {"eigenvalues": [float(v) for v in vals], "config": resolved}
 
 

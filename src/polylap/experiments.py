@@ -15,7 +15,7 @@ high-probability bounds allow would wreck a mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .continuum import (
     continuum_laplacian_uniform,
     continuum_solve_uniform,
     exact_bias,
-    l2_mu_norm,
     mode_multiplier,
     nonlocal_laplacian,
 )
@@ -111,9 +110,6 @@ class Schedule:
         if self.eps_mult <= 0 or self.tau_mult <= 0:
             raise ValueError("multipliers must be positive")
         object.__setattr__(self, "n_grid", grid)
-        for n in grid:
-            if self.eps_of(n) > 0.5:
-                raise ValueError("eps(n) exceeds 1/2")  # unreachable with the cap
 
     def eps_of(self, n):
         return min(self.eps_mult * (math.log(n) / n) ** (1.0 / (self.d + 4 * self.s)), 0.5)
@@ -136,7 +132,6 @@ class TrialConfig:
     trial: int = 0
     kernel: KernelProfile = INDICATOR
     tol: float = DEFAULT_TOL
-    force_explicit: bool = False  # skip the d=1 fast path (testing only)
 
 
 @dataclass
@@ -161,20 +156,30 @@ class ExperimentRecord:
 RECORD_FIELDS = [f.name for f in fields(ExperimentRecord)]
 
 
-def make_operator(points, d, eps, kernel, force_explicit=False, want_order=False):
+# an explicit build peaks at about 125-155 bytes of RSS per undirected edge,
+# so the cap is about 3 GB
+MAX_EXPLICIT_EDGES = 20_000_000
+
+
+def make_operator(points, d, eps, kernel, want_order=False):
     """Laplacian operator, node coordinates in operator order, and the
     permutation mapping input order to operator order (None if unchanged
     or not requested; the permutation costs memory at very large n).
 
     The one place that picks the form: d = 1 with the indicator kernel gets
     the O(n) IntervalLaplacian, everything else the explicit epsilon-graph.
+    An explicit graph whose expected edge count exceeds MAX_EXPLICIT_EDGES
+    raises MemoryError before it is built.
     """
-    if d == 1 and kernel.kind == "indicator" and not force_explicit:
+    if d == 1 and kernel.kind == "indicator":
         order = np.argsort(points[:, 0], kind="stable") if want_order else None
         op = IntervalLaplacian(points[:, 0], eps)
         return op, op.x.reshape(-1, 1), order
-    cloud = PointCloud(points, UNIFORM, 0)
-    return build_graph(cloud, eps, kernel), points, None
+    n = len(points)
+    edges = n * (n - 1) / 2 * unit_ball_volume(d) * eps**d
+    if edges > MAX_EXPLICIT_EDGES:
+        raise MemoryError(f"explicit graph of ~{edges:.3g} edges exceeds {MAX_EXPLICIT_EDGES}")
+    return build_graph(PointCloud(points, UNIFORM, 0), eps, kernel), points, None
 
 
 def run_trial(cfg: TrialConfig) -> ExperimentRecord:
@@ -182,9 +187,7 @@ def run_trial(cfg: TrialConfig) -> ExperimentRecord:
     cloud_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 0)
     noise_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 1)
     cloud = sample_cloud(UNIFORM, cfg.n, cfg.d, cloud_seed)
-    op, nodes, order = make_operator(
-        cloud.points, cfg.d, cfg.eps, cfg.kernel, cfg.force_explicit, want_order=True
-    )
+    op, nodes, order = make_operator(cloud.points, cfg.d, cfg.eps, cfg.kernel, want_order=True)
     # labels are drawn in sampling order so the (point, noise) pairing does
     # not depend on which operator representation is in play
     y = gen_labels(cfg.g, cloud, cfg.noise, noise_seed)
@@ -475,8 +478,8 @@ def degree_concentration_check(
     lo, hi, cnt = math.inf, -math.inf, 0
     for t in range(trials):
         cloud = sample_cloud(density, n, d, derive_seed(base_seed, t))
-        graph = build_graph(cloud, eps, kernel)
-        mn, mx, mc = degree_statistics(graph)
+        op, _, _ = make_operator(cloud.points, d, eps, kernel)
+        mn, mx, mc = degree_statistics(op)
         lo, hi, cnt = min(lo, mn), max(hi, mx), max(cnt, mc)
     cap = cap_mult * unit_ball_volume(d) * n * eps**d
     return DegreeSummary(lo, hi, cnt, cap, cnt <= cap)

@@ -11,7 +11,10 @@ contiguous window in sorted order, so `IntervalLaplacian` applies the same
 operator in O(n) per product without storing any edges.  It is exactly
 equivalent to the explicit graph (tested) and is what makes the large-n
 sweeps fit in memory.  `experiments.make_operator` is the one place that
-picks between the two forms.
+picks between the two forms.  Both share one operator protocol: `n`, `d`,
+`eps`, `kernel`, `degrees`, `neighbor_counts()` and `apply(u)`.  All else
+here but the edge-list I/O uses only that protocol, and so does the solver;
+`dense_spectrum` assembles its matrix from `apply`.
 """
 
 from __future__ import annotations
@@ -168,21 +171,21 @@ def operator_norm_estimate(graph, iters: int = 50, seed: int = 0) -> float:
     return max(est, 0.0)
 
 
-def dense_spectrum(graph: KernelGraph, threshold: int = DENSE_THRESHOLD):
-    """Full eigendecomposition; eigenvectors orthonormal in L2(mu_n).
+def dense_spectrum(op, threshold: int = DENSE_THRESHOLD):
+    """Full eigendecomposition of either operator form; eigenvectors
+    orthonormal in L2(mu_n), indexed in the operator's node order.
 
     Only for n <= threshold: beyond that use the matrix-free operations.
     """
-    if graph.n > threshold:
+    if op.n > threshold:
         raise ValueError(
-            f"n={graph.n} exceeds dense threshold {threshold}; use the matrix-free path"
+            f"n={op.n} exceeds dense threshold {threshold}; use the matrix-free path"
         )
-    w = graph.w.toarray()
-    scale = 2.0 / (graph.n * graph.eps**2)
-    lap = scale * (np.diag(graph.degrees) - w)
+    # column j is the Laplacian applied to the j-th unit vector
+    lap = np.column_stack([op.apply(e) for e in np.eye(op.n)])
     vals, vecs = np.linalg.eigh(lap)
     # eigh returns euclidean-orthonormal columns; rescale for the (1/n) inner product
-    return vals, vecs * np.sqrt(graph.n)
+    return vals, vecs * np.sqrt(op.n)
 
 
 def degree_statistics(graph):
@@ -236,10 +239,7 @@ class IntervalLaplacian:
         self._lo_rem = lo
         self._hi_rem = hi
         self._wraps = (hi_wraps - lo_wraps).astype(np.int8)
-        counts = (
-            hi.astype(np.int64) - lo + self._wraps.astype(np.int64) * n - 1
-        )  # window includes self once
-        self.degrees = counts / eps  # sum_j W_ij with W = 1/eps per neighbor
+        self.degrees = self.neighbor_counts() / eps  # sum_j W_ij with W = 1/eps per neighbor
 
     def _window_sums(self, u):
         cum = np.concatenate([[0.0], np.cumsum(u)])
@@ -253,7 +253,7 @@ class IntervalLaplacian:
             self._hi_rem.astype(np.int64)
             - self._lo_rem
             + self._wraps.astype(np.int64) * self.n
-            - 1
+            - 1  # the window includes the point itself once
         )
 
     def apply(self, u):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import apply_poly_laplacian, dense_spectrum, l2_mu_n
+from .graph import DENSE_THRESHOLD, apply_poly_laplacian, dense_spectrum, l2_mu_n
 
 DEFAULT_TOL = 1e-10
 
@@ -171,7 +171,7 @@ def solve_resolvent(
     return SolveReport(u, iterations, final, preconditioner, history, energies)
 
 
-def solve_resolvent_dense(p: ResolventProblem, threshold: int = 500):
+def solve_resolvent_dense(p: ResolventProblem, threshold: int = DENSE_THRESHOLD):
     """Spectral-oracle solve: divide eigencoefficients by 1 + tau * lambda^s.
 
     Accepts any real s >= 0 (s = 0 degenerates to u = y / (1 + tau)).

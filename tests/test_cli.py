@@ -1,6 +1,8 @@
 """Command-line interface: config handling, outputs, exit codes, reproducibility."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -8,8 +10,6 @@ import numpy as np
 import pytest
 
 from polylap import cli
-from polylap import experiments as xp
-from polylap import graph as graph_module
 from polylap.experiments import NoiseSpec, derive_seed, gen_labels, make_operator
 from polylap.geometry import INDICATOR, UNIFORM, PointCloud, sample_cloud
 from polylap.graph import build_graph, l2_mu_n
@@ -120,12 +120,8 @@ class TestDenoise:
         u_explicit = solve_resolvent(resolvent_problem(graph, y, tau, s)).solution
         assert rows[:, 2] == pytest.approx(u_explicit, rel=1e-9)
 
-    def test_d1_indicator_builds_no_explicit_graph(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            pytest.fail("build_graph called for a d=1 indicator cloud")
-
-        for module in (cli, xp, graph_module):
-            monkeypatch.setattr(module, "build_graph", refuse)
+    def test_d1_indicator_builds_no_explicit_graph(self, tmp_path, refuse):
+        refuse("build_graph")
         code = run_cli(
             "denoise", "--out", str(tmp_path / "out"), "--d=1", "--eps=0.05",
             "--n=2000", "--modes=1:1.0:0.0",
@@ -206,6 +202,11 @@ class TestOtherCommands:
     def test_spectrum_threshold_error(self):
         assert run_cli("spectrum", "--eps=0.2", "--n=600") == 1
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    def test_spectrum_size_checked_before_any_build(self, refuse, dry_run):
+        refuse("sample_cloud", "make_operator", "build_graph")
+        assert run_cli("spectrum", *dry_run, "--d=2", "--eps=0.2", "--n=600") == 1
+
     def test_degrees(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
@@ -214,6 +215,18 @@ class TestOtherCommands:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["within_cap"] is True
+
+    def test_degrees_d1_indicator_builds_no_explicit_graph(self, tmp_path, refuse):
+        refuse("build_graph")
+        code = run_cli(
+            "degrees", "--out", str(tmp_path / "out"), "--d=1", "--n=10000", "--eps=0.05",
+            "--trials=1",
+        )
+        assert code == 0
+
+    def test_degrees_explicit_size_guard(self, refuse):
+        refuse("build_graph")
+        assert run_cli("degrees", "--kernel=plateau", "--n=100000", "--eps=0.05") == 1
 
     def test_consistency_constant_modes(self, tmp_path):
         out = tmp_path / "out"
@@ -258,6 +271,17 @@ class TestExitCodes:
             "--modes=1:1.0:0.0",
         )
         assert code == 3
+
+    def test_benchmark_tracer_installs(self):
+        # perfbench/spans.py wraps names bound in the polylap modules; one that
+        # goes missing must fail here, not only in the benchmark's smoke run
+        root = pathlib.Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run(

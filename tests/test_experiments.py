@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from polylap import experiments as xp
 from polylap.continuum import FourierFunction, nonlocal_laplacian
 from polylap.experiments import (
     RECORD_FIELDS,
@@ -23,10 +24,23 @@ from polylap.experiments import (
     run_trial,
     write_records_csv,
 )
-from polylap.geometry import INDICATOR, UNIFORM, DensitySpec, make_rng, sample_cloud
-from polylap.graph import IntervalLaplacian, apply_poly_laplacian, l2_mu_n
+from polylap.geometry import (
+    INDICATOR,
+    PLATEAU,
+    UNIFORM,
+    DensitySpec,
+    PointCloud,
+    make_rng,
+    sample_cloud,
+)
+from polylap.graph import IntervalLaplacian, apply_poly_laplacian, build_graph, l2_mu_n
 
 G_DEFAULT = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 0.5)])
+
+
+def explicit_operator(points, d, eps, kernel, want_order=False):
+    """make_operator without the d=1 fast path: always the explicit graph."""
+    return build_graph(PointCloud(points, UNIFORM, 0), eps, kernel), points, None
 
 
 class TestSeeds:
@@ -126,9 +140,10 @@ class TestRunTrial:
             rec = run_trial(make_cfg(trial=trial))
             assert rec.total_err <= rec.variance_err + rec.bias_sample_err + 1e-8
 
-    def test_fast_path_matches_explicit(self):
+    def test_fast_path_matches_explicit(self, monkeypatch):
         a = run_trial(make_cfg())
-        b = run_trial(make_cfg(force_explicit=True))
+        monkeypatch.setattr(xp, "make_operator", explicit_operator)
+        b = run_trial(make_cfg())
         # same cloud and noise stream; norms are permutation-invariant
         assert a.total_err == pytest.approx(b.total_err, rel=1e-7, abs=1e-9)
         assert a.variance_err == pytest.approx(b.variance_err, rel=1e-7, abs=1e-9)
@@ -255,6 +270,42 @@ class TestDegreeConcentration:
     def test_regime_validation(self):
         with pytest.raises(ValueError):
             degree_concentration_check(10, 2, 0.05, UNIFORM, INDICATOR, 1, 0)
+
+    def test_d1_indicator_builds_no_explicit_graph(self, refuse):
+        # the call of acceptance criterion 7
+        refuse("build_graph")
+        summary = degree_concentration_check(10_000, 1, 0.05, UNIFORM, INDICATOR, 10, 0)
+        assert 1.0 <= summary.min_normalized_degree
+        assert summary.max_normalized_degree <= 3.0
+        assert summary.within_cap
+
+    @pytest.mark.parametrize(
+        "n, eps, density, trials",
+        [
+            (10_000, 0.05, UNIFORM, 1),
+            (100, 0.5, UNIFORM, 2),
+            (3000, 0.01, DensitySpec("cosine_bump", 0.5, (1,)), 3),
+        ],
+    )
+    def test_interval_matches_explicit(self, monkeypatch, n, eps, density, trials):
+        fast = degree_concentration_check(n, 1, eps, density, INDICATOR, trials, 4)
+        monkeypatch.setattr(xp, "make_operator", explicit_operator)
+        slow = degree_concentration_check(n, 1, eps, density, INDICATOR, trials, 4)
+        for name in ("min_normalized_degree", "max_normalized_degree"):
+            assert getattr(fast, name) == pytest.approx(getattr(slow, name), rel=1e-12)
+        assert fast.max_neighbor_count == slow.max_neighbor_count
+        assert fast.neighbor_cap == slow.neighbor_cap
+        assert fast.within_cap == slow.within_cap
+
+
+class TestMakeOperator:
+    def test_explicit_size_guard(self, refuse):
+        refuse("build_graph")
+        points = sample_cloud(UNIFORM, 100_000, 1, 0).points
+        with pytest.raises(MemoryError, match="edges"):
+            xp.make_operator(points, 1, 0.05, PLATEAU)
+        op, _, _ = xp.make_operator(points, 1, 0.05, INDICATOR)  # interval form: no cap
+        assert op.n == 100_000
 
 
 class TestAnsatzNormSweep:

@@ -318,6 +318,24 @@ class TestDenseSpectrum:
         spectral = float(np.sum(np.clip(vals, 0, None) * coeffs**2))
         assert spectral == pytest.approx(dirichlet_energy(g, u, 1), abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "d, eps, kernel", [(1, 0.2, INDICATOR), (2, 0.3, PLATEAU), (3, 0.4, INDICATOR)]
+    )
+    def test_matches_eigh_of_assembled_matrix(self, d, eps, kernel):
+        # the columns of apply(e_j) reproduce (2/(n eps^2)) (D - W) bit for bit
+        g = build_graph(sample_cloud(UNIFORM, 150, d, 44), eps, kernel)
+        vals, vecs = np.linalg.eigh(dense_laplacian(g))
+        got_vals, got_vecs = dense_spectrum(g)
+        assert np.array_equal(got_vals, vals)
+        assert np.array_equal(got_vecs, vecs * np.sqrt(g.n))
+
+    @pytest.mark.parametrize("eps", [0.03, 0.2, 0.5])
+    def test_interval_matches_explicit(self, eps):
+        cloud = sample_cloud(UNIFORM, 200, 1, 45)
+        vals, _ = dense_spectrum(IntervalLaplacian(cloud.points[:, 0], eps))
+        ref, _ = dense_spectrum(build_graph(cloud, eps))
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_threshold_error(self):
         g = build_graph(sample_cloud(UNIFORM, 600, 1, 49), 0.05)
         with pytest.raises(ValueError, match="matrix-free"):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from polylap.geometry import UNIFORM, PointCloud, make_rng, sample_cloud
-from polylap.graph import build_graph, dense_spectrum, dirichlet_energy, l2_mu_n
+from polylap.graph import (
+    IntervalLaplacian,
+    build_graph,
+    dense_spectrum,
+    dirichlet_energy,
+    l2_mu_n,
+)
 from polylap.solver import (
     ResolventProblem,
     SolverError,
@@ -162,6 +168,13 @@ class TestDenseOracle:
             u_cg = solve_resolvent(p).solution
             u_dense = solve_resolvent_dense(p)
             assert l2_mu_n(u_cg - u_dense) < 1e-8, (k, n, d, s, tau)
+
+    def test_matches_cg_on_interval_laplacian(self):
+        op = IntervalLaplacian(sample_cloud(UNIFORM, 200, 1, 2100).points[:, 0], 0.15)
+        y = make_rng(2101).standard_normal(op.n)
+        for s, tau in [(1, 0.01), (2, 1.0), (3, 100.0)]:
+            p = resolvent_problem(op, y, tau, s)
+            assert l2_mu_n(solve_resolvent(p).solution - solve_resolvent_dense(p)) < 1e-8
 
     def test_tau_zero(self):
         g = random_graph(40, 1, 23)
