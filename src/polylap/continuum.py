@@ -59,17 +59,37 @@ class FourierFunction:
 
     def evaluate(self, x):
         """Evaluate at points x of shape (..., d)."""
+        return self.evaluate_with(x)[0]
+
+    def evaluate_with(self, x, *derived):
+        """[self.evaluate(x), *(f.evaluate(x) for f in derived)] with the cosine
+        and sine of each mode computed once for all of them.
+
+        Each derived function must list its modes in this one's order, as
+        map_modes keeps them.  Every output is accumulated from zeros by
+        += a cos, then += b sin, mode by mode in its own order, so it is
+        bitwise what evaluating that function alone gives.  The last wave of
+        a mode overwrites the phase, so a single-wave mode allocates no wave
+        array.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.d:
-            raise ValueError("point dimension mismatch")
-        out = np.zeros(x.shape[:-1])
-        for k, (a, b) in self.modes.items():
+        fns = (self, *derived)
+        for f in fns:
+            if x.shape[-1] != f.d:
+                raise ValueError("point dimension mismatch")
+            if list(f.modes) != [k for k in self.modes if k in f.modes]:
+                raise ValueError("derived modes must follow this function's mode order")
+        outs = [np.zeros(x.shape[:-1]) for _ in fns]
+        for k in self.modes:
+            coefs = [f.modes.get(k, (0.0, 0.0)) for f in fns]
+            waves = [i for i in (0, 1) if any(c[i] for c in coefs)]
             phase = 2.0 * np.pi * (x @ np.asarray(k, dtype=float))
-            if a:
-                out += a * np.cos(phase)
-            if b:
-                out += b * np.sin(phase)
-        return out
+            for i in waves:
+                wave = (np.cos, np.sin)[i](phase, out=phase if i == waves[-1] else None)
+                for out, c in zip(outs, coefs):
+                    if c[i]:
+                        out += c[i] * wave
+        return outs
 
     __call__ = evaluate
 

@@ -8,6 +8,11 @@ density only, where the Fourier references are closed-form):
   bias_err        ||u*_tau - g||               (analytic, n-independent)
   total_err       ||u_n - g|_nodes||
 
+Each Fourier mode's cosine and sine are evaluated once per trial, at the
+sampled points: the labels, g at the nodes and u*_tau at the nodes all come
+from those waves (FourierFunction.evaluate_with), permuted into operator
+order where the d=1 fast path sorts the nodes.
+
 Rate fits use medians over trials; the heavy-tailed failure events the
 high-probability bounds allow would wreck a mean.
 """
@@ -74,10 +79,12 @@ class NoiseSpec:
         return self.scale * (2.0 * rng.integers(0, 2, n) - 1.0)
 
 
-def gen_labels(g: FourierFunction, cloud: PointCloud, noise: NoiseSpec, seed: int):
-    """y_i = g(x_i) + xi_i with iid noise, deterministic given the seed."""
-    rng = make_rng(seed)
-    return g.evaluate(cloud.points) + noise.sample(rng, cloud.n)
+def gen_labels(g: FourierFunction, cloud: PointCloud, noise: NoiseSpec, seed: int, g_values=None):
+    """y_i = g(x_i) + xi_i with iid noise, deterministic given the seed;
+    g_values, if given, is g already evaluated at the cloud points."""
+    if g_values is None:
+        g_values = g.evaluate(cloud.points)
+    return g_values + noise.sample(make_rng(seed), cloud.n)
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,7 @@ def make_operator(points, d, eps, kernel, want_order=False):
     raises MemoryError before it is built.
     """
     if d == 1 and kernel.kind == "indicator":
-        order = np.argsort(points[:, 0], kind="stable") if want_order else None
+        order = _stable_argsort(points[:, 0]) if want_order else None
         op = IntervalLaplacian(points[:, 0], eps)
         return op, op.x.reshape(-1, 1), order
     n = len(points)
@@ -182,22 +189,34 @@ def make_operator(points, d, eps, kernel, want_order=False):
     return build_graph(PointCloud(points, UNIFORM, 0), eps, kernel), points, None
 
 
+def _stable_argsort(x):
+    """np.argsort(x, kind="stable") by way of the faster default sort.
+
+    Distinct values have only one sorting permutation, so the stable sort
+    runs only when the sorted values have equal neighbours.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    if np.any(xs[1:] == xs[:-1]):
+        order = np.argsort(x, kind="stable")
+    return order
+
+
 def run_trial(cfg: TrialConfig) -> ExperimentRecord:
     """One denoising trial against the exact uniform-density references."""
     cloud_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 0)
     noise_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 1)
     cloud = sample_cloud(UNIFORM, cfg.n, cfg.d, cloud_seed)
-    op, nodes, order = make_operator(cloud.points, cfg.d, cfg.eps, cfg.kernel, want_order=True)
-    # labels are drawn in sampling order so the (point, noise) pairing does
-    # not depend on which operator representation is in play
-    y = gen_labels(cfg.g, cloud, cfg.noise, noise_seed)
-    if order is not None:
-        y = y[order]
-
+    op, _, order = make_operator(cloud.points, cfg.d, cfg.eps, cfg.kernel, want_order=True)
     sigma = sigma_eta(cfg.kernel, cfg.d)
     u_star = continuum_solve_uniform(cfg.g, cfg.tau, cfg.s, sigma)
-    g_nodes = cfg.g.evaluate(nodes)
-    u_star_nodes = u_star.evaluate(nodes)
+    # g and u*_tau share their waves, evaluated once at the sampled points;
+    # labels are drawn in sampling order so the (point, noise) pairing does
+    # not depend on which operator representation is in play
+    g_nodes, u_star_nodes = cfg.g.evaluate_with(cloud.points, u_star)
+    y = gen_labels(cfg.g, cloud, cfg.noise, noise_seed, g_values=g_nodes)
+    if order is not None:
+        y, g_nodes, u_star_nodes = y[order], g_nodes[order], u_star_nodes[order]
     bias = exact_bias(cfg.g, cfg.tau, cfg.s, sigma)
 
     try:

@@ -8,6 +8,7 @@ from zero, which keeps rejection sampling cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -162,13 +163,14 @@ def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> PointCloud:
     return PointCloud(points, spec, int(seed))
 
 
+@functools.cache
 def sigma_eta(kernel: KernelProfile, d: int) -> float:
     """Second moment of the kernel: integral of eta(|h|) h_1^2 over R^d.
 
     Reduced to a radial integral against r^(d+1) times the surface average
     of omega_1^2, and evaluated by adaptive quadrature so every profile goes
     through the same code path.  Analytic ball moments serve as oracles in
-    the tests.
+    the tests.  Memoised: the quadrature runs once per (kernel, d).
     """
     if d < 1:
         raise ValueError("d must be >= 1")

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .geometry import INDICATOR, KernelProfile, PointCloud, torus_distance
+from .geometry import INDICATOR, KernelProfile, PointCloud, make_rng, torus_distance
 
 DENSE_THRESHOLD = 500
 
@@ -156,8 +156,6 @@ def operator_norm_estimate(graph, iters: int = 50, seed: int = 0) -> float:
     """Power-iteration estimate of the largest eigenvalue of the Laplacian."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    from .geometry import make_rng
-
     rng = make_rng(seed, 0x9E37)
     v = rng.standard_normal(graph.n)
     est = 0.0
@@ -241,13 +239,6 @@ class IntervalLaplacian:
         self._wraps = (hi_wraps - lo_wraps).astype(np.int8)
         self.degrees = self.neighbor_counts() / eps  # sum_j W_ij with W = 1/eps per neighbor
 
-    def _window_sums(self, u):
-        cum = np.concatenate([[0.0], np.cumsum(u)])
-        total = cum[-1]
-        out = cum[self._hi_rem] - cum[self._lo_rem]
-        out += self._wraps * total
-        return out
-
     def neighbor_counts(self):
         return (
             self._hi_rem.astype(np.int64)
@@ -260,9 +251,23 @@ class IntervalLaplacian:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n,):
             raise ValueError(f"signal length {u.shape} does not match n={self.n}")
-        wsum = (self._window_sums(u) - u) / self.eps  # exclude self
-        scale = 2.0 / (self.n * self.eps**2)
-        return scale * (self.degrees * u - wsum)
+        # window sums from prefix sums, then every pass in place.  take
+        # copies an int32 index to intp for the call; up to ~10^5 points it
+        # is still about 3x faster than int32 fancy indexing
+        cum = np.empty(self.n + 1)
+        cum[0] = 0.0
+        np.cumsum(u, out=cum[1:])
+        out = cum.take(self._hi_rem)
+        tmp = cum.take(self._lo_rem)
+        out -= tmp
+        np.multiply(self._wraps, cum[-1], out=tmp)
+        out += tmp
+        out -= u  # exclude self
+        out /= self.eps  # W u
+        np.multiply(self.degrees, u, out=tmp)
+        np.subtract(tmp, out, out=out)
+        out *= 2.0 / (self.n * self.eps**2)
+        return out
 
 
 def save_edgelist(graph: KernelGraph, path):

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, outputs, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -12,7 +13,7 @@ import pytest
 from polylap import cli
 from polylap.experiments import NoiseSpec, derive_seed, gen_labels, make_operator
 from polylap.geometry import INDICATOR, UNIFORM, PointCloud, sample_cloud
-from polylap.graph import build_graph, l2_mu_n
+from polylap.graph import build_graph
 from polylap.solver import resolvent_problem, solve_resolvent
 
 
@@ -238,6 +239,49 @@ class TestOtherCommands:
         text = (out / "records.csv").read_text()
         errs = [float(line.split(",")[11]) for line in text.splitlines()[1:]]
         assert all(e < 1e-10 for e in errs)
+
+
+class TestRecordsBytes:
+    """records.csv of small sweep and consistency runs, pinned by sha256.
+
+    Criterion 8 compares two runs of one build; these hashes pin the bytes
+    themselves, so a change that moves the arithmetic of a trial (the label
+    and reference evaluation, the operator order, the interval apply, CG)
+    fails here.  They assume the cos/sin of this NumPy build, as
+    perfbench/golden.json does.
+    """
+
+    CASES = {
+        "sweep_d1_s1": (
+            ["sweep", "--d=1", "--s=1", "--n_grid=256,512,1024", "--trials=2", "--threads=1"],
+            "5946e5e0a9191f9e46ccebe2c786e9486849b1810b5acb4833bd0d8b8514597d",
+        ),
+        "sweep_d1_s2_modes": (
+            ["sweep", "--d=1", "--s=2", "--n_grid=300,600", "--trials=2", "--threads=1",
+             "--modes=0:0.5:0.0;1:1.0:-0.3;3:0.0:0.25", "--seed=4"],
+            "0a8a245e25c86df9a4cc4e2ba95efef50766fef3073e356243770d95f5186468",
+        ),
+        "sweep_d2": (
+            ["sweep", "--d=2", "--s=1", "--n_grid=200,400", "--trials=1", "--threads=1",
+             "--modes=1,0:1.0:0.0;0,2:0.0:0.5"],
+            "132e8343913442b3bcf433ede3dd0e26fab3a2933d1617888f5cf52fc6adeac9",
+        ),
+        "consistency_d1_s1": (
+            ["consistency", "--eps_grid=0.3,0.2", "--trials=2", "--k_mult=0.5"],
+            "f846f0f68141a5cc1be38c404b96787191243d252e694b6062b824d55f8fe219",
+        ),
+        "consistency_d1_s2_modes": (
+            ["consistency", "--eps_grid=0.4,0.3", "--trials=1", "--k_mult=0.5", "--s=2",
+             "--modes=0:0.5:0.0;1:1.0:-0.3;2:0.0:0.25", "--seed=3"],
+            "03cecc165990be418e407678d82c5d408b68d8a64aa6c55cfad56a708bc7846e",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sha256(self, tmp_path, case):
+        argv, digest = self.CASES[case]
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        assert hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest() == digest
 
 
 class TestExitCodes:

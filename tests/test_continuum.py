@@ -19,7 +19,7 @@ from polylap.continuum import (
     pseudo_spectral_continuum_laplacian,
     sample_on_grid,
 )
-from polylap.geometry import INDICATOR, UNIFORM, DensitySpec, sigma_eta
+from polylap.geometry import INDICATOR, UNIFORM, DensitySpec, sample_cloud, sigma_eta
 
 SIGMA1 = 2.0 / 3.0  # sigma_eta(INDICATOR, 1)
 COEFF = SIGMA1 * 4.0 * math.pi**2  # eigenvalue of mode k=1, d=1
@@ -52,6 +52,62 @@ class TestFourierFunction:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             FourierFunction.from_modes(2, [((1,), 1.0, 0.0)])
+
+
+def evaluate_reference(f, x):
+    """FourierFunction.evaluate as first written: one wave at a time."""
+    out = np.zeros(x.shape[:-1])
+    for k, (a, b) in f.modes.items():
+        phase = 2.0 * np.pi * (x @ np.asarray(k, dtype=float))
+        if a:
+            out += a * np.cos(phase)
+        if b:
+            out += b * np.sin(phase)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestEvaluateWith:
+    # constant, cos-only, sin-only and two-wave modes
+    G = FourierFunction.from_modes(
+        1, [((0,), 0.7, 0.0), ((1,), 1.0, 0.0), ((2,), 0.0, 0.5), ((3,), 0.3, -0.2)]
+    )
+
+    @pytest.mark.parametrize("tau, s", [(0.0, 1), (1e-3, 1), (1e-4, 2)])
+    def test_bitwise_at_sorted_nodes(self, tau, s):
+        # run_trial evaluates at the sampled points and permutes into the
+        # d=1 operator order; the parent evaluated at the sorted nodes
+        x = sample_cloud(UNIFORM, 2000, 1, 17).points
+        order = np.argsort(x[:, 0], kind="stable")
+        u_star = continuum_solve_uniform(self.G, tau, s, SIGMA1)
+        g_pts, u_pts = self.G.evaluate_with(x, u_star)
+        nodes = x[order]
+        assert same_bits(g_pts[order], evaluate_reference(self.G, nodes))
+        assert same_bits(u_pts[order], evaluate_reference(u_star, nodes))
+        assert same_bits(self.G.evaluate(x), evaluate_reference(self.G, x))
+
+    def test_bitwise_d2_and_derived_subset(self):
+        f = FourierFunction.from_modes(
+            2, [((0, 0), -1.5, 0.0), ((1, 0), 1.0, 0.0), ((0, 2), 0.0, 0.5), ((1, 1), 0.2, 0.4)]
+        )
+        lap = continuum_laplacian_uniform(f, SIGMA1, 2)  # drops the constant mode
+        cos_only = f.map_modes(lambda k: 0.0 if k == (0, 2) else 3.0)
+        x = sample_cloud(UNIFORM, 500, 2, 4).points
+        outs = f.evaluate_with(x, lap, cos_only)
+        for fn, got in zip((f, lap, cos_only), outs):
+            assert same_bits(got, evaluate_reference(fn, x))
+
+    def test_validation(self):
+        a = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 1.0)])
+        b = FourierFunction.from_modes(1, [((2,), 0.0, 1.0), ((1,), 1.0, 0.0)])
+        x = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="mode order"):
+            a.evaluate_with(x, b)
+        with pytest.raises(ValueError, match="dimension"):
+            a.evaluate_with(x, FourierFunction.from_modes(2, [((1, 0), 1.0, 0.0)]))
 
 
 class TestContinuumLaplacian:

@@ -308,6 +308,26 @@ class TestMakeOperator:
         assert op.n == 100_000
 
 
+class TestOperatorOrder:
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    @pytest.mark.parametrize("grid", [None, 64])
+    def test_equals_stable_argsort(self, n, grid):
+        # on a 1/64 grid most coordinates are tied; the stable order keeps
+        # tied points in sampling order
+        for seed in range(3):
+            x = sample_cloud(UNIFORM, n, 1, 900 + seed).points
+            if grid:
+                x = np.floor(x * grid) / grid
+            _, nodes, order = xp.make_operator(x, 1, 0.1, INDICATOR, want_order=True)
+            assert np.array_equal(order, np.argsort(x[:, 0], kind="stable"))
+            assert np.array_equal(nodes[:, 0], x[order, 0])
+
+    def test_reversed_and_constant(self):
+        for x in (np.linspace(0.9, 0.0, 200), np.full(200, 0.25), np.repeat([0.5, 0.1], 100)):
+            _, _, order = xp.make_operator(x.reshape(-1, 1), 1, 0.1, INDICATOR, want_order=True)
+            assert np.array_equal(order, np.argsort(x, kind="stable"))
+
+
 class TestAnsatzNormSweep:
     def test_bounded_spread(self):
         out = ansatz_norm_sweep(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from polylap import geometry
 from polylap.geometry import (
     INDICATOR,
     PLATEAU,
@@ -95,6 +96,25 @@ class TestSigmaEta:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             sigma_eta(INDICATOR, 0)
+
+    def test_quadrature_once_per_kernel_and_dimension(self, monkeypatch):
+        calls = []
+        quad = geometry.integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        sigma_eta.cache_clear()
+        monkeypatch.setattr(geometry.integrate, "quad", counting_quad)
+        try:
+            first = [sigma_eta(k, d) for k in (INDICATOR, PLATEAU) for d in (1, 2)]
+            again = [sigma_eta(k, d) for k in (INDICATOR, PLATEAU) for d in (1, 2)]
+            assert sigma_eta(KernelProfile("indicator"), 1) == first[0]  # equal key
+            assert len(calls) == 4
+            assert again == first
+        finally:
+            sigma_eta.cache_clear()
 
 
 class TestDensity:

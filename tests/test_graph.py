@@ -1,8 +1,5 @@
 """Graph construction, matrix-free Laplacian application, and energies."""
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -39,17 +36,20 @@ def two_point_graph():
     return build_graph(cloud, 0.2, INDICATOR)
 
 
-def brute_force_edges(points, eps, kernel, d):
-    """O(n^2) reference edge set with weights."""
+def brute_force_edges(points, eps, kernel, d, block=256):
+    """All-pairs reference edge set with weights, a block of rows at a time:
+    every pair i < j with torus distance < eps and positive weight."""
+    points = np.asarray(points, dtype=float)
     n = len(points)
     edges = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = float(torus_distance(points[i], points[j]))
-            if dist < eps:
-                w = float(kernel.eval(dist / eps)) * eps ** (-d)
-                if w > 0.0:
-                    edges[(i, j)] = w
+    for start in range(0, n, block):
+        rows = np.arange(start, min(start + block, n))
+        dist = torus_distance(points[rows, None, :], points[None, :, :])
+        i, j = np.nonzero((dist < eps) & (np.arange(n) > rows[:, None]))
+        w = kernel.eval(dist[i, j] / eps) * eps ** (-d)
+        keep = w > 0.0
+        for a, b, wv in zip(rows[i[keep]], j[keep], w[keep]):
+            edges[(int(a), int(b))] = float(wv)
     return edges
 
 
@@ -374,6 +374,48 @@ class TestIntervalLaplacian:
             IntervalLaplacian([0.1, 0.2], 0.6)
         with pytest.raises(ValueError):
             IntervalLaplacian([], 0.1)
+
+
+def interval_apply_reference(il, u):
+    """IntervalLaplacian.apply as first written, with a temporary per step."""
+    cum = np.concatenate([[0.0], np.cumsum(u)])
+    total = cum[-1]
+    out = cum[il._hi_rem] - cum[il._lo_rem]
+    out += il._wraps * total
+    wsum = (out - u) / il.eps
+    scale = 2.0 / (il.n * il.eps**2)
+    return scale * (il.degrees * u - wsum)
+
+
+class TestIntervalApplyBitwise:
+    @pytest.mark.parametrize("eps", [0.003, 0.05, 0.2, 0.45, 0.5])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_matches_reference(self, n, eps):
+        x = sample_cloud(UNIFORM, n, 1, 70 + n).points[:, 0]
+        il = IntervalLaplacian(x, eps)
+        rng = make_rng(71, n)
+        for u in (rng.standard_normal(n), np.ones(n), np.zeros(n), rng.random(n) - 0.5):
+            got = il.apply(u)
+            ref = interval_apply_reference(il, u)
+            assert got.dtype == ref.dtype and np.array_equal(
+                got.view(np.int64), ref.view(np.int64)
+            )
+
+    def test_wrapping_windows_covered(self):
+        # points at both ends of the circle: windows cross 0 and 1
+        x = np.array([0.0, 0.01, 0.02, 0.5, 0.97, 0.99, 0.999])
+        il = IntervalLaplacian(x, 0.05)
+        assert np.any(il._wraps == 1) and np.any(il._wraps == 0)
+        u = make_rng(72).standard_normal(x.size)
+        assert np.array_equal(
+            il.apply(u).view(np.int64), interval_apply_reference(il, u).view(np.int64)
+        )
+
+    def test_input_not_modified(self):
+        u = make_rng(73).standard_normal(200)
+        keep = u.copy()
+        IntervalLaplacian(sample_cloud(UNIFORM, 200, 1, 74).points[:, 0], 0.1).apply(u)
+        assert np.array_equal(u, keep)
 
 
 class TestEdgelistIO:
