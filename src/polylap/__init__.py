@@ -26,9 +26,6 @@ from .graph import (
     dense_spectrum,
     dirichlet_energy,
     l2_mu_n,
-    load_edgelist,
-    operator_norm_estimate,
-    save_edgelist,
 )
 from .solver import (
     ResolventProblem,
@@ -46,7 +43,6 @@ from .continuum import (
     continuum_laplacian_uniform,
     continuum_solve_uniform,
     exact_bias,
-    l2_mu_norm,
     nonlocal_laplacian,
     pseudo_spectral_continuum_laplacian,
     sample_on_grid,

@@ -249,20 +249,3 @@ def pseudo_spectral_continuum_laplacian(
         div += partial(rho2 * partial(v, ax), ax)
     return GridField(-sigma / rho.values * div)
 
-
-def l2_mu_norm(f: FourierFunction, rho: DensitySpec, grid_m: int | None = None) -> float:
-    """L2 norm of f weighted by the density.
-
-    Uniform rho is exact via Parseval; otherwise the integral is taken on a
-    periodic grid fine enough that the band-limited integrand is integrated
-    exactly by the rectangle rule.  (Sampled values: graph.l2_mu_n.)
-    """
-    if rho.kind == "uniform":
-        return f.l2_norm_uniform()
-    if grid_m is None:
-        kmax = f.max_abs_mode() + max(abs(c) for c in rho.mode)
-        grid_m = max(4, 4 * (kmax + 1))
-        grid_m += grid_m % 2
-    pts = grid_points(grid_m, f.d).reshape(-1, f.d)
-    vals = f.evaluate(pts)
-    return float(np.sqrt(np.mean(vals * vals * rho.eval(pts))))

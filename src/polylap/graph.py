@@ -13,8 +13,8 @@ equivalent to the explicit graph (tested) and is what makes the large-n
 sweeps fit in memory.  `experiments.make_operator` is the one place that
 picks between the two forms.  Both share one operator protocol: `n`, `d`,
 `eps`, `kernel`, `degrees`, `neighbor_counts()` and `apply(u)`.  All else
-here but the edge-list I/O uses only that protocol, and so does the solver;
-`dense_spectrum` assembles its matrix from `apply`.
+here uses only that protocol, and so does the solver; `dense_spectrum`
+assembles its matrix from `apply`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .geometry import INDICATOR, KernelProfile, PointCloud, make_rng, torus_distance
+from .geometry import INDICATOR, KernelProfile, PointCloud, torus_distance
 
 DENSE_THRESHOLD = 500
 
@@ -152,23 +152,6 @@ def dirichlet_energy(graph, u, s: int = 1) -> float:
     return inner_mu_n(hi, lo)
 
 
-def operator_norm_estimate(graph, iters: int = 50, seed: int = 0) -> float:
-    """Power-iteration estimate of the largest eigenvalue of the Laplacian."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng = make_rng(seed, 0x9E37)
-    v = rng.standard_normal(graph.n)
-    est = 0.0
-    for _ in range(iters):
-        av = graph.apply(v)
-        nv = np.linalg.norm(av)
-        if nv == 0.0:
-            return est
-        est = float(v @ av / (v @ v))
-        v = av / nv
-    return max(est, 0.0)
-
-
 def dense_spectrum(op, threshold: int = DENSE_THRESHOLD):
     """Full eigendecomposition of either operator form; eigenvectors
     orthonormal in L2(mu_n), indexed in the operator's node order.
@@ -269,29 +252,3 @@ class IntervalLaplacian:
         out *= 2.0 / (self.n * self.eps**2)
         return out
 
-
-def save_edgelist(graph: KernelGraph, path):
-    """Plain-text export: header `n d eps kernel`, then `i j w` per edge."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{graph.n} {graph.d} {graph.eps!r} {graph.kernel.kind}\n")
-        for i in range(graph.n):
-            for p in range(graph.indptr[i], graph.indptr[i + 1]):
-                j = graph.indices[p]
-                if j > i:
-                    f.write(f"{i} {j} {float(graph.weights[p])!r}\n")
-
-
-def load_edgelist(path) -> KernelGraph:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        n, d, eps, kind = int(header[0]), int(header[1]), float(header[2]), header[3]
-        rows, cols, vals = [], [], []
-        for line in f:
-            a, b, w = line.split()
-            rows.append(int(a))
-            cols.append(int(b))
-            vals.append(float(w))
-    return _from_pairs(
-        n, d, eps, KernelProfile(kind), np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64), np.array(vals),
-    )

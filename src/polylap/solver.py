@@ -7,8 +7,19 @@ preconditioner because the degree term dominates the off-diagonal averaging.
 A dense spectral solve backs it up as an oracle for small n, and is the only
 path that accepts non-integer s.
 
-The condition number satisfies kappa <= 1 + tau * ||Delta||_op^s which grows
-like 1 + tau / eps^(2s); iteration counts rise accordingly for small eps.
+The condition number satisfies kappa <= 1 + tau * ||Delta||_op^s, which grows
+like 1 + tau / eps^(2s), and CG iterations grow like sqrt(kappa).  For s = 2
+the factorisation 1 + tau lam^2 = |1 + i sqrt(tau) lam|^2 gives
+(I + tau Delta^2)^-1 y = Re (I + i sqrt(tau) Delta)^-1 y for real y, and that
+complex symmetric system is solved by COCG (van der Vorst & Melissen, IEEE
+Trans. Magn. 1990) in the Krylov space of Delta itself, so its iterations
+grow like (tau ||Delta||^2)^(1/4) instead.  It runs the same loop on complex
+arrays with the diagonal 1 + sqrt(tau) 2 D_ii / (n eps^2) and stops on a
+certified bound of the real residual.  s = 1 and s >= 3 use plain PCG: the
+complex pole pairs of 1 / (1 + tau lam^3) give shifted matrices with an
+indefinite Hermitian part, where COCG has no convergence guarantee, and a
+partial-fraction sum of such solves multiplies each term's residual by the
+other factors, up to (1 + tau^(1/3) ||Delta||)^2, in the real residual.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ class ResolventProblem:
     s: float = 1  # CG requires a positive integer; the dense oracle takes any s >= 0
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        if not (np.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError("tau must be finite and >= 0")
         if self.s < 0:
             raise ValueError("s must be >= 0")
         y = np.asarray(self.y, dtype=float)
@@ -48,10 +59,13 @@ class SolveReport:
     iterations: int
     final_relative_residual: float
     preconditioner: str
+    # relative residual per iterate; for s = 2 the certified bound
+    # (1 + sqrt(tau) ||Delta||) ||r|| / ||y|| on the real residual
     residual_history: list = field(default_factory=list)
     # quadratic objective (1/2)<Au,u> - <y,u> per iterate; CG minimizes it over
     # a growing Krylov space, so this sequence is non-increasing (the plain
-    # residual norm is not, and is reported for diagnostics only)
+    # residual norm is not, and is reported for diagnostics only).  Empty for
+    # s = 2: COCG minimises no energy of A
     energy_history: list = field(default_factory=list)
 
 
@@ -83,9 +97,92 @@ def _shifted_diagonal(graph, tau, s):
 
 def _operator(graph, tau, s):
     def apply_a(u):
-        return tau * apply_poly_laplacian(graph, u, s) + u
+        v = apply_poly_laplacian(graph, u, s)  # a fresh array for s >= 1
+        v *= tau
+        v += u
+        return v
 
     return apply_a
+
+
+def _shifted_pair_operator(graph, sigma):
+    """z -> (I + i sigma Delta) z, with Delta applied to Re z and Im z apart."""
+
+    def apply_b(z):
+        a = graph.apply(z.real)
+        b = graph.apply(z.imag)
+        out = np.empty_like(z)
+        b *= sigma
+        np.subtract(z.real, b, out=out.real)
+        a *= sigma
+        np.add(z.imag, a, out=out.imag)
+        return out
+
+    return apply_b
+
+
+def _cg(apply_a, diag, y, y_norm, bound, tol, max_iters, dtype):
+    """CG from zero on A x = y, preconditioned by the diagonal `diag` (None: none).
+
+    For real symmetric positive definite A this is PCG.  For complex
+    symmetric A it is COCG: the same recurrences, with the unconjugated
+    bilinear form r @ z in place of the inner product.  The stop rule
+    certifies bound * ||r|| / ||y|| <= tol.  Returns (x, steps, residual
+    history, energy history, None) or, when CG breaks down or runs out of
+    steps, the same with an error message last.  Energies are kept for
+    real A only, where CG minimises them.
+    """
+    n = y.size
+    real = dtype is float
+    x = np.zeros(n, dtype)
+    r = y.astype(dtype)
+    z = r if diag is None else np.divide(r, diag)
+    d = z.copy()
+    tmp = np.empty(n, dtype)
+    rz = r @ z
+
+    def norm(v):
+        if real:  # the passes of l2_mu_n, into a kept buffer
+            np.multiply(v, v, out=tmp)
+            return float(np.sqrt(np.mean(tmp)))
+        return float(np.sqrt(np.vdot(v, v).real / n))
+
+    history = [bound * norm(r) / y_norm]
+    # phi(x) = (1/2)<Ax,x> - <y,x> in L2(mu_n); each step lowers it by
+    # (alpha/2) r'z, which is the exact CG energy recurrence
+    energy = 0.0
+    energies = [energy] if real else []
+    k = 0
+    while k < max_iters:
+        ad = apply_a(d)
+        dad = d @ ad
+        if dad == 0.0 or not np.isfinite(dad) or (real and dad < 0.0):
+            # search direction annihilated: the residual has hit the floating
+            # point floor and the requested tolerance is unreachable
+            return x, k, history, energies, (
+                f"CG stagnated at residual {history[-1]:.3e} (tol={tol} unreachable)"
+            )
+        alpha = rz / dad
+        np.multiply(d, alpha, out=tmp)
+        x += tmp
+        np.multiply(ad, alpha, out=tmp)
+        r -= tmp
+        k += 1
+        if real:
+            energy -= 0.5 * alpha * rz / n
+            energies.append(float(energy))
+        history.append(bound * norm(r) / y_norm)
+        if history[-1] <= tol:
+            return x, k, history, energies, None
+        if diag is not None:
+            np.divide(r, diag, out=z)
+        rz_new = r @ z
+        d *= rz_new / rz
+        d += z
+        rz = rz_new
+    return x, k, history, energies, (
+        f"CG did not reach tol={tol} in {max_iters} iterations (residual {history[-1]:.3e})"
+    )
 
 
 def solve_resolvent(
@@ -94,19 +191,21 @@ def solve_resolvent(
     max_iters: int | None = None,
     preconditioner: str = "DiagonalAnsatz",
 ) -> SolveReport:
-    """Preconditioned CG from a zero initial guess.
+    """Preconditioned CG from a zero initial guess (COCG for s = 2).
 
-    Stops when ||A u - y|| / ||y|| <= tol in L2(mu_n).  tau = 0 is the exact
-    identity shortcut.  Exceeding max_iters raises SolverError with the best
-    iterate attached so the caller can accept or retry.
+    Stops when the relative residual ||A u - y|| / ||y|| in L2(mu_n) is
+    certified <= tol; for s = 2 the residual history holds that bound.
+    tau = 0 is the exact identity shortcut.  Exceeding max_iters raises
+    SolverError with the best (real) iterate attached so the caller can
+    accept or retry.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     if p.s != int(p.s) or p.s < 1:
         raise ValueError("CG path requires integer s >= 1; use the dense oracle")
     if preconditioner not in ("None", "DiagonalAnsatz"):
         raise ValueError(f"unknown preconditioner {preconditioner!r}")
-    n = p.graph.n
+    graph, s, n = p.graph, int(p.s), p.graph.n
     if max_iters is None:
         max_iters = 10 * n
     y = p.y
@@ -116,59 +215,33 @@ def solve_resolvent(
         energy = -0.5 * float(y @ y) / n
         return SolveReport(u, 0, 0.0, preconditioner, [0.0], [energy])
 
-    apply_a = _operator(p.graph, p.tau, int(p.s))
-    if preconditioner == "DiagonalAnsatz":
-        diag = _shifted_diagonal(p.graph, p.tau, int(p.s))
-        apply_m = lambda r: r / diag
+    apply_a = _operator(graph, p.tau, s)
+    precondition = preconditioner == "DiagonalAnsatz"
+    if s == 2:
+        # (I + tau Delta^2)^-1 y = Re (I + i sigma Delta)^-1 y with sigma =
+        # sqrt(tau).  The real residual of u = Re z is Re r + sigma Delta Im r,
+        # so (1 + sigma ||Delta||) ||r|| bounds it; Gershgorin gives
+        # ||Delta|| <= 4 max D / (n eps^2)
+        sigma = float(np.sqrt(p.tau))
+        lam_max = 4.0 * float(graph.degrees.max()) / (n * graph.eps**2)
+        diag = _shifted_diagonal(graph, sigma, 1) if precondition else None
+        x, k, history, energies, failure = _cg(
+            _shifted_pair_operator(graph, sigma), diag,
+            y, y_norm, 1.0 + sigma * lam_max, tol, max_iters, complex,
+        )
+        u = x.real.copy()
     else:
-        apply_m = lambda r: r
-
-    u = np.zeros(n)
-    r = y.copy()
-    z = apply_m(r)
-    d = z.copy()
-    rz = float(r @ z)
-    history = [l2_mu_n(r) / y_norm]
-    # phi(u) = (1/2)<Au,u> - <y,u> in L2(mu_n); each step lowers it by
-    # (alpha/2) r'z, which is the exact CG energy recurrence
-    energy = 0.0
-    energies = [energy]
-    iterations = 0
-    for k in range(1, max_iters + 1):
-        ad = apply_a(d)
-        dad = float(d @ ad)
-        if dad <= 0.0 or not np.isfinite(dad):
-            # search direction annihilated: the residual has hit the floating
-            # point floor and the requested tolerance is unreachable
-            report = SolveReport(u, iterations, history[-1], preconditioner, history, energies)
-            raise SolverError(
-                f"CG stagnated at residual {history[-1]:.3e} (tol={tol} unreachable)",
-                report,
-            )
-        alpha = rz / dad
-        u += alpha * d
-        r -= alpha * ad
-        energy -= 0.5 * alpha * rz / n
-        energies.append(energy)
-        iterations = k
-        rel = l2_mu_n(r) / y_norm
-        history.append(rel)
-        if rel <= tol:
-            break
-        z = apply_m(r)
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    else:
-        report = SolveReport(u, iterations, history[-1], preconditioner, history, energies)
+        diag = _shifted_diagonal(graph, p.tau, s) if precondition else None
+        u, k, history, energies, failure = _cg(
+            apply_a, diag, y, y_norm, 1.0, tol, max_iters, float
+        )
+    if failure is not None:
         raise SolverError(
-            f"CG did not reach tol={tol} in {max_iters} iterations "
-            f"(residual {history[-1]:.3e})",
-            report,
+            failure, SolveReport(u, k, history[-1], preconditioner, history, energies)
         )
     # recompute the true residual; the recurrence can drift slightly
     final = l2_mu_n(apply_a(u) - y) / y_norm
-    return SolveReport(u, iterations, final, preconditioner, history, energies)
+    return SolveReport(u, k, final, preconditioner, history, energies)
 
 
 def solve_resolvent_dense(p: ResolventProblem, threshold: int = DENSE_THRESHOLD):

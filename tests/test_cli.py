@@ -153,6 +153,14 @@ class TestDenoise:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arg", ["--tau=nan", "--tau=inf", "--tol=nan", "--tol=inf"])
+    def test_non_finite_tau_or_tol_is_validation_error(self, tmp_path, capsys, arg):
+        code = run_cli("denoise", "--out", str(tmp_path), "--eps=0.2", "--n=40",
+                       "--modes=1:1.0:0.0", arg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and "finite" in err
+
 
 class TestSweepCommand:
     CONFIG = """
@@ -259,7 +267,7 @@ class TestRecordsBytes:
         "sweep_d1_s2_modes": (
             ["sweep", "--d=1", "--s=2", "--n_grid=300,600", "--trials=2", "--threads=1",
              "--modes=0:0.5:0.0;1:1.0:-0.3;3:0.0:0.25", "--seed=4"],
-            "0a8a245e25c86df9a4cc4e2ba95efef50766fef3073e356243770d95f5186468",
+            "2e2b5dab55824e030816fcee5333096f05a24a5093b2dacf624f29bfe3d1609e",
         ),
         "sweep_d2": (
             ["sweep", "--d=2", "--s=1", "--n_grid=200,400", "--trials=1", "--threads=1",

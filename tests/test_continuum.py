@@ -13,7 +13,6 @@ from polylap.continuum import (
     continuum_solve_uniform,
     exact_bias,
     grid_points,
-    l2_mu_norm,
     mode_multiplier,
     nonlocal_laplacian,
     pseudo_spectral_continuum_laplacian,
@@ -276,16 +275,3 @@ class TestPseudoSpectral:
                 GridField(np.ones(8)), GridField(np.zeros(8)), SIGMA1
             )
 
-
-class TestL2MuNorm:
-    def test_parseval_uniform(self):
-        assert l2_mu_norm(cos1(), UNIFORM) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-
-    def test_constant(self):
-        f = FourierFunction.from_modes(1, [((0,), -3.0, 0.0)])
-        assert l2_mu_norm(f, UNIFORM) == pytest.approx(3.0, rel=1e-15)
-
-    def test_cosine_bump_weighted(self):
-        # int cos^2 (1 + 0.5 cos) dx = 1/2 (the odd cos^3 term vanishes)
-        rho = DensitySpec("cosine_bump", 0.5, (1,))
-        assert l2_mu_norm(cos1(), rho) == pytest.approx(1 / math.sqrt(2), rel=1e-12)

@@ -34,6 +34,7 @@ from polylap.geometry import (
     sample_cloud,
 )
 from polylap.graph import IntervalLaplacian, apply_poly_laplacian, build_graph, l2_mu_n
+from polylap.solver import SolveReport, solve_resolvent_dense
 
 G_DEFAULT = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 0.5)])
 
@@ -147,6 +148,22 @@ class TestRunTrial:
         # same cloud and noise stream; norms are permutation-invariant
         assert a.total_err == pytest.approx(b.total_err, rel=1e-7, abs=1e-9)
         assert a.variance_err == pytest.approx(b.variance_err, rel=1e-7, abs=1e-9)
+
+    def test_s2_matches_dense_oracle(self, monkeypatch):
+        # the s = 2 solve runs COCG on (I + i sqrt(tau) Delta); a trial must
+        # record what the spectral oracle's solution would give
+        def dense(p, tol):
+            return SolveReport(solve_resolvent_dense(p), 0, 0.0, "dense")
+
+        for k, tau in enumerate((1e-4, 1e-2, 1.0)):
+            cfg = make_cfg(s=2, n=400, eps=0.1, tau=tau, trial=k)
+            a = run_trial(cfg)
+            with monkeypatch.context() as m:
+                m.setattr(xp, "solve_resolvent", dense)
+                b = run_trial(cfg)
+            assert not a.failed and a.solver_residual <= cfg.tol
+            assert a.variance_err == pytest.approx(b.variance_err, rel=0, abs=1e-9)
+            assert a.total_err == pytest.approx(b.total_err, rel=0, abs=1e-9)
 
     def test_solver_residual_recorded(self):
         rec = run_trial(make_cfg())

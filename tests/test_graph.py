@@ -25,9 +25,6 @@ from polylap.graph import (
     dirichlet_energy,
     inner_mu_n,
     l2_mu_n,
-    load_edgelist,
-    operator_norm_estimate,
-    save_edgelist,
 )
 
 
@@ -268,30 +265,6 @@ class TestDirichletEnergy:
             dirichlet_energy(two_point_graph(), np.zeros(2), 0)
 
 
-class TestOperatorNorm:
-    def test_empty_graph_zero(self):
-        cloud = PointCloud(np.array([[0.0], [0.5]]), UNIFORM, 0)
-        g = build_graph(cloud, 0.1)
-        assert operator_norm_estimate(g) == 0.0
-
-    def test_two_point_value(self):
-        assert operator_norm_estimate(two_point_graph(), iters=100) == pytest.approx(
-            250.0, rel=1e-8
-        )
-
-    def test_eps_squared_scaling(self):
-        # ||Delta||_op ~ C / eps^2: estimate * eps^2 varies by less than 3x
-        vals = []
-        for eps in (0.05, 0.1, 0.2):
-            g = build_graph(sample_cloud(UNIFORM, 4000, 1, 31), eps)
-            vals.append(operator_norm_estimate(g, iters=30) * eps**2)
-        assert max(vals) / min(vals) < 3.0
-
-    def test_bad_iters(self):
-        with pytest.raises(ValueError):
-            operator_norm_estimate(two_point_graph(), iters=0)
-
-
 class TestDenseSpectrum:
     def test_two_point_eigenvalues(self):
         vals, vecs = dense_spectrum(two_point_graph())
@@ -417,16 +390,3 @@ class TestIntervalApplyBitwise:
         IntervalLaplacian(sample_cloud(UNIFORM, 200, 1, 74).points[:, 0], 0.1).apply(u)
         assert np.array_equal(u, keep)
 
-
-class TestEdgelistIO:
-    def test_round_trip(self, tmp_path):
-        cloud = sample_cloud(UNIFORM, 120, 2, 71)
-        g = build_graph(cloud, 0.2, PLATEAU)
-        path = tmp_path / "graph.edges"
-        save_edgelist(g, path)
-        h = load_edgelist(path)
-        assert (h.n, h.d, h.eps, h.kernel.kind) == (g.n, g.d, g.eps, g.kernel.kind)
-        assert np.array_equal(h.indptr, g.indptr)
-        assert np.array_equal(h.indices, g.indices)
-        assert np.array_equal(h.weights, g.weights)
-        assert np.allclose(h.degrees, g.degrees, rtol=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from polylap.geometry import UNIFORM, PointCloud, make_rng, sample_cloud
 from polylap.graph import (
     IntervalLaplacian,
+    apply_poly_laplacian,
     build_graph,
     dense_spectrum,
     dirichlet_energy,
@@ -39,6 +40,11 @@ class TestResolventProblem:
             ResolventProblem(g, np.zeros(2), 1.0, -1)
         with pytest.raises(ValueError):
             ResolventProblem(g, np.zeros(3), 1.0, 1)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            resolvent_problem(two_point_graph(), [1.0, 0.0], tau)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_labels(self, bad):
@@ -91,7 +97,7 @@ class TestSolveResolvent:
         assert np.all(np.diff(energies) <= 1e-13)
         # the recurrence tracks the directly evaluated objective
         u = report.solution
-        from polylap.graph import apply_poly_laplacian, inner_mu_n
+        from polylap.graph import inner_mu_n
 
         au = tau * apply_poly_laplacian(g, u, s) + u
         direct = 0.5 * inner_mu_n(au, u) - inner_mu_n(y, u)
@@ -148,10 +154,125 @@ class TestSolveResolvent:
         p = resolvent_problem(g, [1.0, 0.0], 0.1)
         with pytest.raises(ValueError):
             solve_resolvent(p, tol=0.0)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_resolvent(p, tol=tol)
         with pytest.raises(ValueError):
             solve_resolvent(p, preconditioner="ILU")
         with pytest.raises(ValueError):
             solve_resolvent(ResolventProblem(g, np.array([1.0, 0.0]), 0.1, 1.5))
+
+
+def pcg_reference(p, tol, preconditioner):
+    """The PCG loop as written before its passes went in place."""
+    g, tau, s = p.graph, p.tau, int(p.s)
+    diag = tau * (2.0 * g.degrees / (g.n * g.eps**2)) ** s + 1.0
+    apply_m = (lambda r: r / diag) if preconditioner == "DiagonalAnsatz" else (lambda r: r)
+    y_norm = l2_mu_n(p.y)
+    u, r = np.zeros(g.n), p.y.copy()
+    z = apply_m(r)
+    d = z.copy()
+    rz = float(r @ z)
+    history = [l2_mu_n(r) / y_norm]
+    while True:
+        ad = tau * apply_poly_laplacian(g, d, s) + d
+        alpha = rz / float(d @ ad)
+        u += alpha * d
+        r -= alpha * ad
+        history.append(l2_mu_n(r) / y_norm)
+        if history[-1] <= tol:
+            return u, history
+        z = apply_m(r)
+        rz_new = float(r @ z)
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+
+
+class TestRealPCGBitwise:
+    @pytest.mark.parametrize("preconditioner", ["DiagonalAnsatz", "None"])
+    def test_matches_reference_loop(self, preconditioner):
+        ops = [
+            random_graph(150, 2, 3101, eps=0.2),
+            IntervalLaplacian(sample_cloud(UNIFORM, 300, 1, 3102).points[:, 0], 0.1),
+        ]
+        for k, op in enumerate(ops):
+            y = make_rng(3103 + k).standard_normal(op.n)
+            for s, tau in [(1, 0.05), (3, 1e-4)]:
+                p = resolvent_problem(op, y, tau, s)
+                u, history = pcg_reference(p, 1e-10, preconditioner)
+                report = solve_resolvent(p, tol=1e-10, preconditioner=preconditioner)
+                assert np.array_equal(report.solution.view(np.int64), u.view(np.int64))
+                assert report.residual_history == history
+
+
+class TestShiftedPairCG:
+    """s = 2 solves u = Re z with (I + i sqrt(tau) Delta) z = y by COCG."""
+
+    TOL = 1e-10
+
+    @staticmethod
+    def stiff_cases():
+        # tau / eps^4 >= 1e6 on both operator forms
+        g = random_graph(400, 2, 3001, eps=0.1)
+        op = IntervalLaplacian(sample_cloud(UNIFORM, 450, 1, 3002).points[:, 0], 0.05)
+        return [(g, 200.0), (op, 10.0)]
+
+    @staticmethod
+    def labels(n, seed):
+        # mean-free: the resolvent keeps a constant exactly, but Delta of a
+        # constant rounds to about 1e-16 D, which tau Delta^2 lifts to a
+        # residual floor of about 1e-16 tau ||Delta||^2 |mean| (5e-9 for the
+        # exact solution here with an N(0,1) mean)
+        y = make_rng(seed).standard_normal(n)
+        return y - y.mean()
+
+    @staticmethod
+    def real_residual(op, y, tau, u):
+        au = tau * apply_poly_laplacian(op, u, 2) + u
+        return l2_mu_n(au - y) / l2_mu_n(y)
+
+    def test_matches_dense_oracle_when_stiff(self):
+        for k, (op, tau) in enumerate(self.stiff_cases()):
+            assert tau / op.eps**4 >= 1e6
+            y = self.labels(op.n, 3010 + k)
+            p = resolvent_problem(op, y, tau, 2)
+            report = solve_resolvent(p, tol=self.TOL)
+            assert report.solution.dtype == np.float64
+            assert l2_mu_n(report.solution - solve_resolvent_dense(p)) < 1e-8
+            assert report.final_relative_residual <= self.TOL
+            assert self.real_residual(op, y, tau, report.solution) <= self.TOL
+            assert report.energy_history == []
+            assert report.residual_history[-1] <= self.TOL
+
+    def test_history_bounds_the_real_residual(self):
+        op, tau = self.stiff_cases()[0]
+        y = self.labels(op.n, 3020)
+        p = resolvent_problem(op, y, tau, 2)
+        for k in (1, 2, 5, 20, 60):
+            with pytest.raises(SolverError) as exc:
+                solve_resolvent(p, tol=self.TOL, max_iters=k)
+            report = exc.value.report
+            assert report.iterations == k
+            assert len(report.residual_history) == k + 1
+            assert self.real_residual(op, y, tau, report.solution) <= report.residual_history[-1]
+
+    def test_error_carries_real_solution(self):
+        op, tau = self.stiff_cases()[1]
+        y = self.labels(op.n, 3030)
+        with pytest.raises(SolverError) as exc:
+            solve_resolvent(resolvent_problem(op, y, tau, 2), max_iters=3)
+        u = exc.value.report.solution
+        assert u.dtype == np.float64 and u.shape == (op.n,)
+        assert u.flags.c_contiguous
+
+    def test_without_preconditioner(self):
+        for k, (op, tau) in enumerate(self.stiff_cases()):
+            y = self.labels(op.n, 3040 + k)
+            p = resolvent_problem(op, y, tau, 2)
+            report = solve_resolvent(p, tol=self.TOL, preconditioner="None")
+            assert report.preconditioner == "None"
+            assert report.final_relative_residual <= self.TOL
+            assert l2_mu_n(report.solution - solve_resolvent_dense(p)) < 1e-8
 
 
 class TestDenseOracle:
