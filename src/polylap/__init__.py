@@ -32,6 +32,7 @@ from .solver import (
     SolveReport,
     SolverError,
     ansatz_signal,
+    check_residual,
     resolvent_problem,
     solve_resolvent,
     solve_resolvent_dense,

@@ -26,7 +26,7 @@ from .continuum import FourierFunction
 from .geometry import UNIFORM, DensitySpec, KernelProfile, sample_cloud
 from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .graph import DENSE_THRESHOLD, dense_spectrum, dirichlet_energy, l2_mu_n
-from .solver import SolverError, resolvent_problem, solve_resolvent
+from .solver import SolverError, check_residual, resolvent_problem, solve_resolvent
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -190,6 +190,7 @@ def cmd_denoise(params, threads, dry_run):
     op, _, order = xp.make_operator(points, d, eps, kernel, want_order=True)
     y_op = y if order is None else y[order]
     report = solve_resolvent(resolvent_problem(op, y_op, tau, s), **tol_kw)
+    check_residual(report, **tol_kw)
     reg = dirichlet_energy(op, report.solution, s)
     u = report.solution
     if order is not None:  # records.csv keeps the input row order

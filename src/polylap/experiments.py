@@ -44,12 +44,18 @@ from .geometry import (
 )
 from .graph import (
     IntervalLaplacian,
-    apply_poly_laplacian,
     build_graph,
     degree_statistics,
     l2_mu_n,
 )
-from .solver import DEFAULT_TOL, SolverError, ansatz_signal, resolvent_problem, solve_resolvent
+from .solver import (
+    DEFAULT_TOL,
+    SolverError,
+    ansatz_signal,
+    check_residual,
+    resolvent_problem,
+    solve_resolvent,
+)
 
 
 def derive_seed(base_seed, *path) -> int:
@@ -220,7 +226,9 @@ def run_trial(cfg: TrialConfig) -> ExperimentRecord:
     bias = exact_bias(cfg.g, cfg.tau, cfg.s, sigma)
 
     try:
-        report = solve_resolvent(resolvent_problem(op, y, cfg.tau, cfg.s), tol=cfg.tol)
+        report = check_residual(
+            solve_resolvent(resolvent_problem(op, y, cfg.tau, cfg.s), tol=cfg.tol), cfg.tol
+        )
     except SolverError as err:
         report = err.report
         failed = True
@@ -390,9 +398,10 @@ def _split_residuals(lu, nodes, ref: FourierFunction, ratio):
             ref_sum += term
             term *= ratio[k]
             ref_eps_sum += term
-    np.subtract(lu, ref_sum, out=ref_sum)
-    np.subtract(lu, ref_eps_sum, out=ref_eps_sum)
-    return l2_mu_n(ref_sum), l2_mu_n(ref_eps_sum)
+    for r in (ref_sum, ref_eps_sum):
+        np.subtract(lu, r, out=r)
+        r *= r  # l2_mu_n's arithmetic, in place
+    return float(np.sqrt(np.mean(ref_sum))), float(np.sqrt(np.mean(ref_eps_sum)))
 
 
 def _median_slope(eps_grid, eps_values):
@@ -445,9 +454,13 @@ def consistency_sweep(
             cloud = sample_cloud(UNIFORM, n, d, seed)
             op, nodes, _ = make_operator(cloud.points, d, eps, kernel)
             del cloud  # the fast path keeps its own sorted copy; free the original
-            err, stoch = _split_residuals(
-                apply_poly_laplacian(op, u.evaluate(nodes), s), nodes, ref, ratio
-            )
+            # apply_poly_laplacian's loop, dropping each input once applied
+            lu = u.evaluate(nodes)
+            for _ in range(s):
+                lu = op.apply(lu)
+            del op  # nodes keeps the coordinates; free the rest of the operator
+            err, stoch = _split_residuals(lu, nodes, ref, ratio)
+            del lu  # before the next trial's arrays
             stochastic.append(stoch)
             records.append(
                 ExperimentRecord(

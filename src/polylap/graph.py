@@ -10,7 +10,9 @@ For d = 1 with the indicator kernel the neighborhood of each point is a
 contiguous window in sorted order, so `IntervalLaplacian` applies the same
 operator in O(n) per product without storing any edges.  It is exactly
 equivalent to the explicit graph (tested) and is what makes the large-n
-sweeps fit in memory.  `experiments.make_operator` is the one place that
+sweeps fit in memory: it keeps 20 bytes per point and works in blocks of
+BLOCK points, so one apply peaks at about 44 bytes per point with its input,
+prefix sums and result.  `experiments.make_operator` is the one place that
 picks between the two forms.  Both share one operator protocol: `n`, `d`,
 `eps`, `kernel`, `degrees`, `neighbor_counts()` and `apply(u)`.  All else
 here uses only that protocol, and so does the solver; `dense_spectrum`
@@ -28,6 +30,8 @@ from scipy.spatial import cKDTree
 from .geometry import INDICATOR, KernelProfile, PointCloud, torus_distance
 
 DENSE_THRESHOLD = 500
+# points per block of IntervalLaplacian's construction and apply
+BLOCK = 1 << 15
 
 
 def l2_mu_n(u):
@@ -181,7 +185,10 @@ class IntervalLaplacian:
 
     Every neighborhood {j : torus_dist(x_i, x_j) < eps} is a cyclic window in
     sorted order, so W u reduces to windowed prefix sums.  Signals are indexed
-    in sorted-coordinate order.
+    in sorted-coordinate order.  The operator keeps 20 bytes per point (x and
+    the int32 window ends and neighbor counts); construction and apply work
+    in blocks of BLOCK points, so an apply holds no other n-length array than
+    u, the prefix sums and its result.
     """
 
     d = 1
@@ -197,58 +204,83 @@ class IntervalLaplacian:
         # Conceptually the points are tripled to (x-1, x, x+1) and each window
         # (x_i - eps, x_i + eps) is located around the middle copy.  Since
         # eps <= 1/2 the window endpoints spill at most one period either way,
-        # so the searches run on x itself with wrapped query values; only the
-        # residue index (int32) and wrap count (int8) are kept, which is what
-        # lets clouds of ~10^8 points fit in memory.
-        v = x - eps
-        below = v < 0.0
-        v[below] += 1.0
-        lo = np.searchsorted(x, v, side="right").astype(np.int32)
-        lo_wraps = np.where(below, 0, 1).astype(np.int8)
-        del v, below
-        w = x + eps
-        above = w >= 1.0
-        w[above] -= 1.0
-        hi = np.searchsorted(x, w, side="left").astype(np.int32)
-        hi_wraps = np.where(above, 2, 1).astype(np.int8)
-        del w, above
-
+        # so the searches run on x itself with wrapped query values and keep
+        # only the residue index.  The wrapped queries, x - eps < 0 and
+        # x + eps >= 1, are a prefix and a suffix of the sorted points, so
+        # the wrap count of a window, 0, 1 or 2, needs only their two ends.
         self.n = n
         self.eps = float(eps)
         self.kernel = INDICATOR
         self.x = x
-        self._lo_rem = lo
-        self._hi_rem = hi
-        self._wraps = (hi_wraps - lo_wraps).astype(np.int8)
-        self.degrees = self.neighbor_counts() / eps  # sum_j W_ij with W = 1/eps per neighbor
+        self._lo_rem = np.empty(n, np.int32)
+        self._hi_rem = np.empty(n, np.int32)
+        self._counts = np.empty(n, np.int32)
+        self._below_end = 0  # x_i - eps < 0 for i < _below_end
+        self._above_start = n  # x_i + eps >= 1 for i >= _above_start
+        q = np.empty(min(n, BLOCK))
+        for a in range(0, n, BLOCK):
+            b = min(a + BLOCK, n)
+            qb = q[: b - a]
+            np.subtract(x[a:b], eps, out=qb)
+            below = int(np.searchsorted(qb, 0.0))
+            qb[:below] += 1.0
+            lo = np.searchsorted(x, qb, side="right")
+            np.add(x[a:b], eps, out=qb)
+            above = int(np.searchsorted(qb, 1.0))
+            qb[above:] -= 1.0
+            hi = np.searchsorted(x, qb, side="left")
+            self._lo_rem[a:b] = lo
+            self._hi_rem[a:b] = hi
+            self._below_end += below
+            self._above_start -= b - a - above
+            # the window holds hi - lo + n * wraps points, the point itself once
+            hi -= lo
+            hi -= 1
+            hi[:below] += n
+            hi[above:] += n
+            self._counts[a:b] = hi
+
+    @property
+    def degrees(self):
+        """sum_j W_ij with W = 1/eps per neighbor, computed on each access."""
+        return self._counts / self.eps
 
     def neighbor_counts(self):
-        return (
-            self._hi_rem.astype(np.int64)
-            - self._lo_rem
-            + self._wraps.astype(np.int64) * self.n
-            - 1  # the window includes the point itself once
-        )
+        return self._counts.astype(np.int64)
 
     def apply(self, u):
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n,):
             raise ValueError(f"signal length {u.shape} does not match n={self.n}")
-        # window sums from prefix sums, then every pass in place.  take
-        # copies an int32 index to intp for the call; up to ~10^5 points it
-        # is still about 3x faster than int32 fancy indexing
-        cum = np.empty(self.n + 1)
+        # window sums from prefix sums, then every pass in place, block by
+        # block.  take copies each int32 index block to intp; mode="clip"
+        # lets it write into out directly, which mode="raise" would buffer
+        n, eps = self.n, self.eps
+        cum = np.empty(n + 1)
         cum[0] = 0.0
         np.cumsum(u, out=cum[1:])
-        out = cum.take(self._hi_rem)
-        tmp = cum.take(self._lo_rem)
-        out -= tmp
-        np.multiply(self._wraps, cum[-1], out=tmp)
-        out += tmp
-        out -= u  # exclude self
-        out /= self.eps  # W u
-        np.multiply(self.degrees, u, out=tmp)
-        np.subtract(tmp, out, out=out)
-        out *= 2.0 / (self.n * self.eps**2)
+        total = cum[-1]
+        scale = 2.0 / (n * eps**2)
+        out = np.empty(n)
+        tmp = np.empty(min(n, BLOCK))
+        for a in range(0, n, BLOCK):
+            b = min(a + BLOCK, n)
+            o, t, ub = out[a:b], tmp[: b - a], u[a:b]
+            cum.take(self._hi_rem[a:b], out=o, mode="clip")
+            cum.take(self._lo_rem[a:b], out=t, mode="clip")
+            o -= t
+            # + wraps * total: once on the prefix and the suffix of wrapped
+            # windows, 0 * total between them, or 2 * total where they overlap
+            below = min(max(self._below_end - a, 0), b - a)
+            above = min(max(self._above_start - a, 0), b - a)
+            first, last = sorted((below, above))
+            o[:first] += total
+            o[first:last] += (2.0 if above < below else 0.0) * total
+            o[last:] += total
+            o -= ub  # exclude self
+            o /= eps  # W u
+            np.divide(self._counts[a:b], eps, out=t)  # degrees
+            t *= ub
+            np.subtract(t, o, out=o)
+            o *= scale
         return out
-

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import pytest
 
 from polylap import cli
@@ -23,3 +25,26 @@ def refuse(monkeypatch):
                     monkeypatch.setattr(module, name, fail)
 
     return install
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args): (fn(*args), the peak of traced memory while fn
+    ran, in bytes above what was traced when it was called).  NumPy reports
+    its array buffers to tracemalloc, so this counts every array fn makes."""
+
+    def measure(fn, *args, **kwargs):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        return result, peak
+
+    return measure

@@ -315,6 +315,16 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_true_residual_above_tol(self, tmp_path, capsys):
+        # CG converges on its recurrence, but the recomputed true residual of
+        # this stiff s = 2 solve (tau / eps^4 = 2e6, N(1, 1) labels) is above tol
+        code = run_cli(
+            "denoise", "--out", str(tmp_path / "o"), "--d=2", "--n=400", "--eps=0.1",
+            "--s=2", "--tau=200", "--modes=0,0:1.0:0.0", "--noise_scale=1.0",
+        )
+        assert code == 2
+        assert "true residual" in capsys.readouterr().err
+
     def test_io_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

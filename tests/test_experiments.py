@@ -33,10 +33,20 @@ from polylap.geometry import (
     make_rng,
     sample_cloud,
 )
-from polylap.graph import IntervalLaplacian, apply_poly_laplacian, build_graph, l2_mu_n
+from polylap.graph import (
+    BLOCK,
+    IntervalLaplacian,
+    apply_poly_laplacian,
+    build_graph,
+    l2_mu_n,
+)
 from polylap.solver import SolveReport, solve_resolvent_dense
 
 G_DEFAULT = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 0.5)])
+# peak bytes per point of a d=1 consistency trial, plus a fixed slack for
+# block-sized work arrays
+MEMORY_BUDGET = 45
+MEMORY_SLACK = 32 * BLOCK
 
 
 def explicit_operator(points, d, eps, kernel, want_order=False):
@@ -165,6 +175,16 @@ class TestRunTrial:
             assert a.variance_err == pytest.approx(b.variance_err, rel=0, abs=1e-9)
             assert a.total_err == pytest.approx(b.total_err, rel=0, abs=1e-9)
 
+    def test_true_residual_above_tol_recorded_as_failure(self):
+        # d = 2, tau / eps^4 = 2e6 and N(1, 1) labels: the true residual of
+        # the s = 2 solve rounds to above tol, so the trial is failed
+        g_mean = FourierFunction.from_modes(2, [((0, 0), 1.0, 0.0)])
+        cfg = make_cfg(g=g_mean, noise=NoiseSpec("gaussian", 1.0), d=2, s=2, n=400,
+                       eps=0.1, tau=200.0)
+        rec = run_trial(cfg)
+        assert rec.failed and rec.solver_residual > cfg.tol
+        assert math.isfinite(rec.variance_err)
+
     def test_solver_residual_recorded(self):
         rec = run_trial(make_cfg())
         assert rec.solver_residual <= 1e-10
@@ -260,6 +280,18 @@ class TestConsistencySweep:
                 u, DensitySpec("cosine_bump", 0.5, (1,)), 1, [0.2], lambda e: 100, 1, 0
             )
 
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_memory_budget(self, traced_peak, s):
+        # a d=1 trial holds at most the operator (20 B/pt), the signal, the
+        # prefix sums and one apply's result (8 B/pt each): the sampled cloud,
+        # the inputs of earlier applies, the operator's index arrays and the
+        # previous trial's arrays are freed before they would add to that
+        n = 1_000_000
+        u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
+        res, peak = traced_peak(consistency_sweep, u, UNIFORM, s, [0.1], lambda e: n, 2, 3)
+        assert [r.n for r in res.records] == [n, n]
+        assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{peak / n:.2f} B/pt"
+
     def test_s2_errors_decrease(self):
         # n(eps) must follow the d + 4s rule or the fluctuation term takes
         # over as eps shrinks; s = 2 needs the steeper exponent
@@ -271,6 +303,33 @@ class TestConsistencySweep:
             for e in eps_grid
         ]
         assert med[0] > med[1] > med[2]
+
+
+def split_residuals_reference(lu, nodes, ref, ratio):
+    """experiments._split_residuals before it squared its residuals in place."""
+    ref_sum = np.zeros(lu.shape)
+    ref_eps_sum = np.zeros(lu.shape)
+    for k, (a, b) in ref.modes.items():
+        phase = 2.0 * np.pi * (nodes @ np.asarray(k, dtype=float))
+        for coef, wave in ((a, np.cos), (b, np.sin)):
+            if coef:
+                term = coef * wave(phase)
+                ref_sum += term
+                ref_eps_sum += term * ratio[k]
+    return l2_mu_n(lu - ref_sum), l2_mu_n(lu - ref_eps_sum)
+
+
+class TestSplitResidualsBitwise:
+    def test_matches_reference_across_blocks(self):
+        n = 3 * BLOCK + 17
+        op = IntervalLaplacian(sample_cloud(UNIFORM, n, 1, 80).points[:, 0], 0.45)
+        nodes = op.x.reshape(-1, 1)
+        ref = FourierFunction.from_modes(1, [((1,), 0.3, 1.0), ((3,), 0.0, -0.5), ((2,), 0.7, 0.0)])
+        ratio = {(1,): 0.9, (3,): 1.1, (2,): 0.75}
+        for lu in (op.apply(np.sin(2 * np.pi * op.x)), make_rng(81).standard_normal(n)):
+            got = xp._split_residuals(lu, nodes, ref, ratio)
+            want = split_residuals_reference(lu, nodes, ref, ratio)
+            assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 class TestDegreeConcentration:

@@ -1,5 +1,7 @@
 """Graph construction, matrix-free Laplacian application, and energies."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ from polylap.geometry import (
     torus_distance,
 )
 from polylap.graph import (
+    BLOCK,
     IntervalLaplacian,
     apply_laplacian,
     apply_poly_laplacian,
@@ -349,40 +352,157 @@ class TestIntervalLaplacian:
             IntervalLaplacian([], 0.1)
 
 
-def interval_apply_reference(il, u):
-    """IntervalLaplacian.apply as first written, with a temporary per step."""
-    cum = np.concatenate([[0.0], np.cumsum(u)])
-    total = cum[-1]
-    out = cum[il._hi_rem] - cum[il._lo_rem]
-    out += il._wraps * total
-    wsum = (out - u) / il.eps
-    scale = 2.0 / (il.n * il.eps**2)
-    return scale * (il.degrees * u - wsum)
+class IntervalReference:
+    """IntervalLaplacian as first written: full-length searches, int8 wrap
+    counts, int64 neighbor counts, stored float64 degrees and a temporary
+    per step of the apply."""
+
+    def __init__(self, x, eps):
+        x = np.sort(np.asarray(x, dtype=float))
+        n = x.size
+        v = x - eps
+        below = v < 0.0
+        v[below] += 1.0
+        self.lo = np.searchsorted(x, v, side="right")
+        w = x + eps
+        above = w >= 1.0
+        w[above] -= 1.0
+        self.hi = np.searchsorted(x, w, side="left")
+        self.wraps = (np.where(above, 2, 1) - np.where(below, 0, 1)).astype(np.int8)
+        self.counts = self.hi - self.lo + self.wraps.astype(np.int64) * n - 1
+        self.degrees = self.counts / eps
+        self.n, self.eps = n, eps
+
+    def apply(self, u):
+        cum = np.concatenate([[0.0], np.cumsum(u)])
+        out = cum[self.hi] - cum[self.lo]
+        out += self.wraps * cum[-1]
+        wsum = (out - u) / self.eps
+        scale = 2.0 / (self.n * self.eps**2)
+        return scale * (self.degrees * u - wsum)
+
+
+def assert_bitwise(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def assert_matches_reference(x, eps, signals):
+    il, ref = IntervalLaplacian(x, eps), IntervalReference(x, eps)
+    assert_bitwise(il.neighbor_counts(), ref.counts)
+    assert_bitwise(il.degrees, ref.degrees)
+    for u in signals:
+        assert_bitwise(il.apply(u), ref.apply(u))
+    return il, ref
+
+
+# three full blocks and a partial one
+N_BLOCKS = 3 * BLOCK + 17
+# peak bytes per point of a d=1 operator build and apply, plus a fixed slack
+# for block-sized work arrays
+MEMORY_BUDGET = 45
+MEMORY_SLACK = 32 * BLOCK
+
+
+@pytest.fixture(scope="class")
+def large_interval():
+    """A 10^7-point d=1 operator and a signal with a constant mode, so the
+    prefix sums grow to about n."""
+    op = IntervalLaplacian(sample_cloud(UNIFORM, 10_000_000, 1, 90).points[:, 0], 0.01)
+    return op, 1.0 + np.sin(2 * np.pi * op.x)
+
+
+class TestIntervalPrefixSumAccuracy:
+    """apply against math.fsum over sampled windows, within the a-posteriori
+    bound for recursive summation (Higham, The accuracy of floating-point
+    summation, SIAM J. Sci. Comput. 1993): each prefix sum c_k is off by at
+    most u * sum_{j <= k} |c_j|, with u the unit roundoff."""
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_sampled_windows_within_bound(self, large_interval, s):
+        op, u = large_interval
+        v = u if s == 1 else op.apply(u)  # the input of the s-th apply
+        got = op.apply(v)
+        n, eps = op.n, op.eps
+        unit = np.finfo(float).eps / 2
+        cum = np.concatenate([[0.0], np.cumsum(v)])
+        err_cum = unit * np.concatenate([[0.0], np.cumsum(np.abs(cum[1:]))])
+        counts = op.neighbor_counts()
+        gain = 2.0 / (n * eps**3)  # Delta v_i = gain * sum_j (v_i - v_j)
+        picks = [0, 1, n // 2, n - 2, n - 1, BLOCK - 1, BLOCK, 7 * BLOCK]
+        picks += make_rng(91).integers(0, n, 8).tolist()
+        reach = int(3 * eps * n)  # three times the expected half-window
+        worst = 0.0
+        for i in picks:
+            near = (i + np.arange(-reach, reach + 1)) % n
+            window = near[torus_distance(op.x[i : i + 1], op.x[near, None]) < eps]
+            assert window.size == counts[i] + 1
+            ref = gain * math.fsum([v[i]] * counts[i] + (-v[window[window != i]]).tolist())
+            lo, hi = op._lo_rem[i], op._hi_rem[i]
+            wraps = (counts[i] + 1 - hi + lo) // n
+            # the error of the prefix sums used, then the rounding of the later
+            # passes: each is at most unit times its result, which is at most
+            # size (times 1/eps, 2/eps or gain); then 1% for the bound's own
+            # rounding, and the rounding of ref
+            size = abs(cum[hi]) + abs(cum[lo]) + wraps * abs(cum[n]) + (counts[i] + 1) * abs(v[i])
+            bound = gain * (err_cum[hi] + err_cum[lo] + wraps * err_cum[n] + 10 * unit * size)
+            bound = 1.01 * bound + 2 * unit * abs(ref)
+            assert abs(got[i] - ref) <= bound, (i, got[i], ref, bound)
+            worst = max(worst, bound)
+        # the bound is tight enough to say something at this n
+        assert worst < 1e-3 * np.abs(got).max()
 
 
 class TestIntervalApplyBitwise:
     @pytest.mark.parametrize("eps", [0.003, 0.05, 0.2, 0.45, 0.5])
-    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("n", [1, 7, 1000, N_BLOCKS])
     def test_matches_reference(self, n, eps):
         x = sample_cloud(UNIFORM, n, 1, 70 + n).points[:, 0]
-        il = IntervalLaplacian(x, eps)
         rng = make_rng(71, n)
-        for u in (rng.standard_normal(n), np.ones(n), np.zeros(n), rng.random(n) - 0.5):
-            got = il.apply(u)
-            ref = interval_apply_reference(il, u)
-            assert got.dtype == ref.dtype and np.array_equal(
-                got.view(np.int64), ref.view(np.int64)
-            )
+        signals = (rng.standard_normal(n), np.ones(n), np.zeros(n), rng.random(n) - 0.5)
+        il, ref = assert_matches_reference(x, eps, signals)
+        if n == N_BLOCKS and eps >= 0.45:
+            # block boundaries inside both wrapped regions
+            assert ref.wraps[BLOCK - 1] == ref.wraps[BLOCK] == 1
+            assert ref.wraps[2 * BLOCK - 1] == ref.wraps[2 * BLOCK] == 1
+
+    @pytest.mark.parametrize("eps", [1 / 64, 0.125, 0.3, 0.5])
+    def test_grid_with_ties_across_blocks(self, eps):
+        # 1/64-grid points: many equal coordinates, and pairs at distance
+        # exactly eps, which the open window excludes
+        x = make_rng(75).integers(0, 64, N_BLOCKS) / 64.0
+        rng = make_rng(76)
+        assert_matches_reference(x, eps, (rng.standard_normal(N_BLOCKS), -np.zeros(N_BLOCKS)))
 
     def test_wrapping_windows_covered(self):
         # points at both ends of the circle: windows cross 0 and 1
         x = np.array([0.0, 0.01, 0.02, 0.5, 0.97, 0.99, 0.999])
-        il = IntervalLaplacian(x, 0.05)
-        assert np.any(il._wraps == 1) and np.any(il._wraps == 0)
-        u = make_rng(72).standard_normal(x.size)
-        assert np.array_equal(
-            il.apply(u).view(np.int64), interval_apply_reference(il, u).view(np.int64)
-        )
+        _, ref = assert_matches_reference(x, 0.05, [make_rng(72).standard_normal(x.size)])
+        assert np.any(ref.wraps == 1) and np.any(ref.wraps == 0)
+
+    def test_overlapping_wraps_and_non_finite_signals(self):
+        # at eps = 1/2, x + eps rounds up to 1 just below x = 1/2, so one
+        # window wraps at both ends; non-finite sums must propagate the same
+        x = np.array([0.0, 0.1, 0.25, 0.5 - 2**-54, 0.5 - 2**-53, 0.5, 0.75, 0.999])
+        signals = [np.arange(8.0) - 3.3, np.full(8, 1e308)]
+        signals += [np.where(np.arange(8) == 1, v, 1.0) for v in (np.inf, np.nan)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, ref = assert_matches_reference(x, 0.5, signals)
+        assert np.any(ref.wraps == 2)
+
+    def test_memory_budget(self, traced_peak):
+        # init, then one apply, on its own copy of the points: the operator's
+        # 20 B/pt, u, the prefix sums and the result, plus block-sized work
+        # arrays (in all, 44 B/pt and about 16 * BLOCK bytes)
+        n = 1_000_000
+        x = sample_cloud(UNIFORM, n, 1, 77).points[:, 0]
+
+        def init_and_apply():
+            op = IntervalLaplacian(x, 0.05)
+            return op.apply(np.sin(2 * np.pi * op.x))
+
+        _, peak = traced_peak(init_and_apply)
+        assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{peak / n:.2f} B/pt"
 
     def test_input_not_modified(self):
         u = make_rng(73).standard_normal(200)

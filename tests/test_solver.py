@@ -13,9 +13,11 @@ from polylap.graph import (
     l2_mu_n,
 )
 from polylap.solver import (
+    DEFAULT_TOL,
     ResolventProblem,
     SolverError,
     ansatz_signal,
+    check_residual,
     resolvent_problem,
     solve_resolvent,
     solve_resolvent_dense,
@@ -148,6 +150,27 @@ class TestSolveResolvent:
         assert report.iterations == 2
         assert report.solution.shape == (100,)
         assert report.final_relative_residual > 0
+
+    def test_check_residual(self):
+        # d = 2, tau / eps^4 = 2e6, labels with an N(0, 1) mean: CG's
+        # recurrence reaches tol, but the recomputed true residual does not
+        # (nor does that of the dense oracle's solution, though the iterate
+        # matches it); check_residual raises with the report attached
+        g = random_graph(400, 2, 3001, eps=0.1)
+        y = make_rng(3010).standard_normal(g.n)
+        p = resolvent_problem(g, y, 200.0, 2)
+        report = solve_resolvent(p)
+        assert report.residual_history[-1] <= DEFAULT_TOL < report.final_relative_residual
+        au = 200.0 * apply_poly_laplacian(g, report.solution, 2) + report.solution
+        assert l2_mu_n(au - y) / l2_mu_n(y) == report.final_relative_residual
+        assert l2_mu_n(report.solution - solve_resolvent_dense(p)) < 1e-8
+        with pytest.raises(SolverError, match="true residual") as exc:
+            check_residual(report)
+        assert exc.value.report is report
+        assert check_residual(report, tol=1e-7) is report
+        # a solve that meets tol passes through
+        met = solve_resolvent(resolvent_problem(g, y - y.mean(), 200.0, 2))
+        assert check_residual(met) is met
 
     def test_validation(self):
         g = two_point_graph()
