@@ -232,8 +232,9 @@ def cmd_sweep(params, threads, dry_run):
     if dry_run:
         return resolved
 
-    if threads > 1:
-        with Pool(threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             result = xp.rate_sweep(schedule, g, noise, trials, seed, map_fn=pool.map, **tol_kw)
     else:
         result = xp.rate_sweep(schedule, g, noise, trials, seed, **tol_kw)
@@ -295,21 +296,20 @@ def cmd_spectrum(params, threads, dry_run):
     d = int(params.get("d", "1"))
     eps = float(params["eps"])
     seed = int(params.get("seed", "0"))
-    threshold = int(params.get("dense_threshold", DENSE_THRESHOLD))
     if "input_csv" in params:
         points, _ = _load_points_csv(params["input_csv"], d)
         n = len(points)
     else:
         points, n = None, int(params.get("n", "100"))
-    if n > threshold:  # before any cloud is sampled or operator built
-        raise ValidationError(f"n={n} exceeds the dense spectrum threshold {threshold}")
+    if n > DENSE_THRESHOLD:  # before any cloud is sampled or operator built
+        raise ValidationError(f"n={n} exceeds the dense spectrum threshold {DENSE_THRESHOLD}")
     if points is None:
         points = sample_cloud(parse_density(params), n, d, seed).points
     resolved = {"command": "spectrum", "d": d, "eps": eps, "n": n}
     if dry_run:
         return resolved
     op, _, _ = xp.make_operator(points, d, eps, parse_kernel(params))
-    vals, _ = dense_spectrum(op, threshold=threshold)
+    vals, _ = dense_spectrum(op)
     return {"eigenvalues": [float(v) for v in vals], "config": resolved}
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import DensitySpec, KernelProfile
+from .graph import BLOCK
 
 
 def _canonical_mode(k):
@@ -66,11 +67,12 @@ class FourierFunction:
         and sine of each mode computed once for all of them.
 
         Each derived function must list its modes in this one's order, as
-        map_modes keeps them.  Every output is accumulated from zeros by
-        += a cos, then += b sin, mode by mode in its own order, so it is
-        bitwise what evaluating that function alone gives.  The last wave of
-        a mode overwrites the phase, so a single-wave mode allocates no wave
-        array.
+        map_modes keeps them.  Points are taken in blocks of BLOCK: per block
+        and mode, the phase 2 pi x.k and each needed wave are computed once
+        and c * wave is added into the block's slice of every output, mode
+        by mode, cosine before sine.  So each output is bitwise what
+        evaluating that function alone gives, and beside the outputs only
+        block-sized arrays are live.
         """
         x = np.asarray(x, dtype=float)
         fns = (self, *derived)
@@ -79,17 +81,20 @@ class FourierFunction:
                 raise ValueError("point dimension mismatch")
             if list(f.modes) != [k for k in self.modes if k in f.modes]:
                 raise ValueError("derived modes must follow this function's mode order")
-        outs = [np.zeros(x.shape[:-1]) for _ in fns]
-        for k in self.modes:
-            coefs = [f.modes.get(k, (0.0, 0.0)) for f in fns]
-            waves = [i for i in (0, 1) if any(c[i] for c in coefs)]
-            phase = 2.0 * np.pi * (x @ np.asarray(k, dtype=float))
-            for i in waves:
-                wave = (np.cos, np.sin)[i](phase, out=phase if i == waves[-1] else None)
-                for out, c in zip(outs, coefs):
-                    if c[i]:
-                        out += c[i] * wave
-        return outs
+        pts = x.reshape(-1, self.d)
+        outs = [np.zeros(len(pts)) for _ in fns]
+        for a in range(0, len(pts), BLOCK):
+            block = slice(a, a + BLOCK)
+            for k in self.modes:
+                coefs = [f.modes.get(k, (0.0, 0.0)) for f in fns]
+                phase = 2.0 * np.pi * (pts[block] @ np.asarray(k, dtype=float))
+                for i, wave_fn in enumerate((np.cos, np.sin)):
+                    if any(c[i] for c in coefs):
+                        wave = wave_fn(phase)
+                        for out, c in zip(outs, coefs):
+                            if c[i]:
+                                out[block] += c[i] * wave
+        return [out.reshape(x.shape[:-1]) for out in outs]
 
     __call__ = evaluate
 

@@ -8,10 +8,11 @@ density only, where the Fourier references are closed-form):
   bias_err        ||u*_tau - g||               (analytic, n-independent)
   total_err       ||u_n - g|_nodes||
 
-Each Fourier mode's cosine and sine are evaluated once per trial, at the
-sampled points: the labels, g at the nodes and u*_tau at the nodes all come
-from those waves (FourierFunction.evaluate_with), permuted into operator
-order where the d=1 fast path sorts the nodes.
+Each Fourier mode's cosine and sine are evaluated once per trial by
+FourierFunction.evaluate_with, in blocks of points.  In run_trial the labels,
+g and u*_tau come from the waves at the sampled points, permuted into operator
+order where the d=1 fast path sorts the nodes; in consistency_sweep
+Delta^s u and Delta_eps^s u at the nodes share their waves.
 
 Rate fits use medians over trials; the heavy-tailed failure events the
 high-probability bounds allow would wreck a mean.
@@ -379,31 +380,6 @@ def _nonlocal_multipliers(u: FourierFunction, eps, kernel, s):
     }
 
 
-def _split_residuals(lu, nodes, ref: FourierFunction, ratio):
-    """(||lu - ref(nodes)||, ||lu - ref_eps(nodes)||), ref_eps scaling mode k
-    of ref by ratio[k].
-
-    One cosine or sine per mode serves both references, and the first norm
-    is bitwise the one of lu - ref.evaluate(nodes).  The last wave of a mode
-    overwrites the phase, so a single-wave mode allocates no term array.
-    """
-    ref_sum = np.zeros(lu.shape)
-    ref_eps_sum = np.zeros(lu.shape)
-    for k, (a, b) in ref.modes.items():
-        phase = 2.0 * np.pi * (nodes @ np.asarray(k, dtype=float))
-        waves = [(coef, wave) for coef, wave in ((a, np.cos), (b, np.sin)) if coef]
-        for i, (coef, wave) in enumerate(waves):
-            term = wave(phase, out=phase if i == len(waves) - 1 else None)
-            term *= coef
-            ref_sum += term
-            term *= ratio[k]
-            ref_eps_sum += term
-    for r in (ref_sum, ref_eps_sum):
-        np.subtract(lu, r, out=r)
-        r *= r  # l2_mu_n's arithmetic, in place
-    return float(np.sqrt(np.mean(ref_sum))), float(np.sqrt(np.mean(ref_eps_sum)))
-
-
 def _median_slope(eps_grid, eps_values):
     """Log-log OLS slope of the per-eps medians of (eps, value) pairs; NaN
     for a degenerate sweep (single eps or exactly-zero errors)."""
@@ -448,7 +424,7 @@ def consistency_sweep(
         nonlocal_bias[float(eps)] = u.map_modes(
             lambda k: mult[k] - mode_multiplier(k, sigma, s)
         ).l2_norm_uniform()
-        ratio = {k: mult[k] / mode_multiplier(k, sigma, s) for k in ref.modes}
+        ref_eps = u.map_modes(lambda k: mult[k])  # Delta_eps^s u, exactly
         for t in range(trials):
             seed = derive_seed(base_seed, i, t)
             cloud = sample_cloud(UNIFORM, n, d, seed)
@@ -459,8 +435,12 @@ def consistency_sweep(
             for _ in range(s):
                 lu = op.apply(lu)
             del op  # nodes keeps the coordinates; free the rest of the operator
-            err, stoch = _split_residuals(lu, nodes, ref, ratio)
-            del lu  # before the next trial's arrays
+            refs = ref.evaluate_with(nodes, ref_eps)
+            for r in refs:
+                np.subtract(lu, r, out=r)
+                r *= r  # l2_mu_n's arithmetic, in place
+            err, stoch = (float(np.sqrt(np.mean(r))) for r in refs)
+            del nodes, lu, refs, r  # before the next trial's arrays
             stochastic.append(stoch)
             records.append(
                 ExperimentRecord(
@@ -559,24 +539,3 @@ def write_records_csv(records, path):
                 else:
                     row.append(str(v))
             f.write(",".join(row) + "\n")
-
-
-def read_records_csv(path):
-    records = []
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header != RECORD_FIELDS:
-            raise ValueError("unexpected records header")
-        for line in f:
-            vals = line.strip().split(",")
-            kwargs = {}
-            for name, v in zip(RECORD_FIELDS, vals):
-                typ = ExperimentRecord.__dataclass_fields__[name].type
-                if name == "failed":
-                    kwargs[name] = v == "1"
-                elif typ == "int":
-                    kwargs[name] = int(v)
-                else:
-                    kwargs[name] = float(v)
-            records.append(ExperimentRecord(**kwargs))
-    return records

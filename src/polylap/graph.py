@@ -156,15 +156,15 @@ def dirichlet_energy(graph, u, s: int = 1) -> float:
     return inner_mu_n(hi, lo)
 
 
-def dense_spectrum(op, threshold: int = DENSE_THRESHOLD):
+def dense_spectrum(op):
     """Full eigendecomposition of either operator form; eigenvectors
     orthonormal in L2(mu_n), indexed in the operator's node order.
 
-    Only for n <= threshold: beyond that use the matrix-free operations.
+    Only for n <= DENSE_THRESHOLD: beyond that use the matrix-free operations.
     """
-    if op.n > threshold:
+    if op.n > DENSE_THRESHOLD:
         raise ValueError(
-            f"n={op.n} exceeds dense threshold {threshold}; use the matrix-free path"
+            f"n={op.n} exceeds dense threshold {DENSE_THRESHOLD}; use the matrix-free path"
         )
     # column j is the Laplacian applied to the j-th unit vector
     lap = np.column_stack([op.apply(e) for e in np.eye(op.n)])

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DENSE_THRESHOLD, apply_poly_laplacian, dense_spectrum, l2_mu_n
+from .graph import apply_poly_laplacian, dense_spectrum, l2_mu_n
 
 DEFAULT_TOL = 1e-10
 
@@ -264,12 +264,12 @@ def check_residual(report: SolveReport, tol: float = DEFAULT_TOL) -> SolveReport
     return report
 
 
-def solve_resolvent_dense(p: ResolventProblem, threshold: int = DENSE_THRESHOLD):
+def solve_resolvent_dense(p: ResolventProblem):
     """Spectral-oracle solve: divide eigencoefficients by 1 + tau * lambda^s.
 
     Accepts any real s >= 0 (s = 0 degenerates to u = y / (1 + tau)).
     """
-    vals, vecs = dense_spectrum(p.graph, threshold=threshold)
+    vals, vecs = dense_spectrum(p.graph)
     lam = np.clip(vals, 0.0, None)
     coeffs = vecs.T @ p.y / p.graph.n  # <y, q_i> in L2(mu_n)
     s = p.s

@@ -374,3 +374,29 @@ class TestThreads:
         assert run_cli(*args, "--out", str(a), "--threads", "1") == 0
         assert run_cli(*args, "--out", str(b), "--threads", "2") == 0
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "threads, cpus, pool_sizes",
+        [(64, 4, [4]), (2, 4, [2]), (64, None, [])],
+    )
+    def test_pool_clamped_to_cpu_count(self, tmp_path, monkeypatch, threads, cpus, pool_sizes):
+        sizes = []
+
+        class FakePool:  # records its size and maps in this process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        args = ["sweep", "--n-grid=256,512", "--trials=1", "--modes=1:1.0:0.0"]
+        assert run_cli(*args, "--out", str(tmp_path), f"--threads={threads}") == 0
+        assert sizes == pool_sizes

@@ -19,6 +19,7 @@ from polylap.continuum import (
     sample_on_grid,
 )
 from polylap.geometry import INDICATOR, UNIFORM, DensitySpec, sample_cloud, sigma_eta
+from polylap.graph import BLOCK
 
 SIGMA1 = 2.0 / 3.0  # sigma_eta(INDICATOR, 1)
 COEFF = SIGMA1 * 4.0 * math.pi**2  # eigenvalue of mode k=1, d=1
@@ -89,15 +90,22 @@ class TestEvaluateWith:
         assert same_bits(self.G.evaluate(x), evaluate_reference(self.G, x))
 
     def test_bitwise_d2_and_derived_subset(self):
-        f = FourierFunction.from_modes(
-            2, [((0, 0), -1.5, 0.0), ((1, 0), 1.0, 0.0), ((0, 2), 0.0, 0.5), ((1, 1), 0.2, 0.4)]
-        )
-        lap = continuum_laplacian_uniform(f, SIGMA1, 2)  # drops the constant mode
-        cos_only = f.map_modes(lambda k: 0.0 if k == (0, 2) else 3.0)
-        x = sample_cloud(UNIFORM, 500, 2, 4).points
-        outs = f.evaluate_with(x, lap, cos_only)
-        for fn, got in zip((f, lap, cos_only), outs):
-            assert same_bits(got, evaluate_reference(fn, x))
+        # points in blocks: each block's x @ k must be bitwise the full product
+        n = 3 * BLOCK + 17
+        for zero, cos_k, sin_k, both_k in [
+            ((0, 0), (1, 0), (0, 2), (1, 1)),
+            ((0, 0, 0), (1, 0, -1), (0, 2, 1), (1, 1, 3)),
+        ]:
+            d = len(zero)
+            f = FourierFunction.from_modes(
+                d, [(zero, -1.5, 0.0), (cos_k, 1.0, 0.0), (sin_k, 0.0, 0.5), (both_k, 0.2, 0.4)]
+            )
+            lap = continuum_laplacian_uniform(f, SIGMA1, 2)  # drops the constant mode
+            cos_only = f.map_modes(lambda k: 0.0 if k == sin_k else 3.0)
+            x = sample_cloud(UNIFORM, n, d, 4).points
+            outs = f.evaluate_with(x, lap, cos_only)
+            for fn, got in zip((f, lap, cos_only), outs):
+                assert same_bits(got, evaluate_reference(fn, x))
 
     def test_validation(self):
         a = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 1.0)])
