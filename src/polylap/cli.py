@@ -199,8 +199,9 @@ def cmd_denoise(params, threads, dry_run):
 
     with open(os.path.join(_outdir(params), "records.csv"), "w", encoding="utf-8") as f:
         f.write(",".join([f"x{i + 1}" for i in range(d)] + ["y", "u"]) + "\n")
-        for row, yi, ui in zip(points, y, u):
-            f.write(",".join(repr(float(v)) for v in row) + f",{float(yi)!r},{float(ui)!r}\n")
+        # column-wise to Python floats once; repr is the shortest round-trip form
+        columns = [*points.T.tolist(), y.tolist(), u.tolist()]
+        f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
     return {
         "energy": l2_mu_n(u - y) ** 2 + tau * reg,
         "regularizer": reg,

@@ -12,7 +12,11 @@ operator in O(n) per product without storing any edges.  It is exactly
 equivalent to the explicit graph (tested) and is what makes the large-n
 sweeps fit in memory: it keeps 20 bytes per point and works in blocks of
 BLOCK points, so one apply peaks at about 44 bytes per point with its input,
-prefix sums and result.  `experiments.make_operator` is the one place that
+prefix sums and result.  Its construction finds the window ends in O(n) too:
+a block's shifted coordinates x - eps and x + eps are at most two ascending
+runs each, and each run is merged into the slice of sorted points that holds
+its answers by a stable sort of bit-pattern keys, with no binary search per
+point.  `experiments.make_operator` is the one place that
 picks between the two forms.  Both share one operator protocol: `n`, `d`,
 `eps`, `kernel`, `degrees`, `neighbor_counts()` and `apply(u)`.  All else
 here uses only that protocol, and so does the solver; `dense_spectrum`
@@ -180,6 +184,51 @@ def degree_statistics(graph):
     return float(norm_deg.min()), float(norm_deg.max()), int(counts.max())
 
 
+def _merge_searchsorted(x, q, side, out, keys, is_query, steps):
+    """out[k] = np.searchsorted(x, q[k], side) for ascending non-negative x
+    and q, found by merging q into the slice of x that holds the answers.
+
+    Non-negative doubles order like their bit patterns, so each value
+    becomes the uint64 key bits << 1 | tag, with -0.0 read as +0.0.  Tagging
+    x 0 and q 1 puts a query after the points equal to it (side="right"),
+    the reverse tags put it before them (side="left").  A stable sort of the
+    keys, NumPy's timsort, merges the two presorted runs in linear time, and
+    the k-th query's answer is its merged position minus k plus the slice
+    start.  Each merge takes at most BLOCK queries and a slice of at most
+    BLOCK points, so the work buffers, keys and is_query with room for both
+    and steps = arange(at most BLOCK), stay block-sized however the points
+    cluster.
+    """
+    n, k = x.size, q.size
+    # queries with answer <= c are those below x[c] (right) or up to it (left)
+    other = "left" if side == "right" else "right"
+    x_tag, q_tag = (0, 1) if side == "right" else (1, 0)
+    i = 0
+    while i < k:
+        start = int(np.searchsorted(x, q[i], side))
+        c, j = start + BLOCK, min(i + BLOCK, k)
+        if c < n:
+            j = i + int(np.searchsorted(q[i:j], x[c], other))
+        stop = int(np.searchsorted(x, q[j - 1], side))
+        m, size = stop - start, stop - start + j - i
+        merged, bits = keys[:size], keys[:size].view(np.float64)
+        np.add(x[start:stop], 0.0, out=bits[:m])
+        np.add(q[i:j], 0.0, out=bits[m:])
+        merged <<= 1
+        merged[:m] |= x_tag
+        merged[m:] |= q_tag
+        merged.sort(kind="stable")
+        tags = is_query[:size]
+        np.bitwise_and(merged, 1, out=tags, casting="unsafe")
+        if not q_tag:
+            np.logical_not(tags, out=tags)
+        at = np.flatnonzero(tags)
+        at -= steps[: j - i]
+        at += start
+        out[i:j] = at
+        i = j
+
+
 class IntervalLaplacian:
     """Matrix-free d=1 indicator-kernel Laplacian on sorted points.
 
@@ -188,7 +237,10 @@ class IntervalLaplacian:
     in sorted-coordinate order.  The operator keeps 20 bytes per point (x and
     the int32 window ends and neighbor counts); construction and apply work
     in blocks of BLOCK points, so an apply holds no other n-length array than
-    u, the prefix sums and its result.
+    u, the prefix sums and its result.  The window ends of a block are found
+    in O(BLOCK) by merging its shifted coordinates, at most two ascending
+    runs, into the sorted points (`_merge_searchsorted`), not by one binary
+    search per point.
     """
 
     d = 1
@@ -207,7 +259,8 @@ class IntervalLaplacian:
         # so the searches run on x itself with wrapped query values and keep
         # only the residue index.  The wrapped queries, x - eps < 0 and
         # x + eps >= 1, are a prefix and a suffix of the sorted points, so
-        # the wrap count of a window, 0, 1 or 2, needs only their two ends.
+        # the wrap count of a window, 0, 1 or 2, needs only their two ends,
+        # and each block's queries form at most two ascending runs.
         self.n = n
         self.eps = float(eps)
         self.kernel = INDICATOR
@@ -217,28 +270,30 @@ class IntervalLaplacian:
         self._counts = np.empty(n, np.int32)
         self._below_end = 0  # x_i - eps < 0 for i < _below_end
         self._above_start = n  # x_i + eps >= 1 for i >= _above_start
-        q = np.empty(min(n, BLOCK))
+        size = min(n, BLOCK)
+        q = np.empty(size)
+        work = (np.empty(2 * size, np.uint64), np.empty(2 * size, bool), np.arange(size))
         for a in range(0, n, BLOCK):
             b = min(a + BLOCK, n)
-            qb = q[: b - a]
+            qb, lo, hi = q[: b - a], self._lo_rem[a:b], self._hi_rem[a:b]
             np.subtract(x[a:b], eps, out=qb)
             below = int(np.searchsorted(qb, 0.0))
             qb[:below] += 1.0
-            lo = np.searchsorted(x, qb, side="right")
+            _merge_searchsorted(x, qb[:below], "right", lo[:below], *work)
+            _merge_searchsorted(x, qb[below:], "right", lo[below:], *work)
             np.add(x[a:b], eps, out=qb)
             above = int(np.searchsorted(qb, 1.0))
             qb[above:] -= 1.0
-            hi = np.searchsorted(x, qb, side="left")
-            self._lo_rem[a:b] = lo
-            self._hi_rem[a:b] = hi
+            _merge_searchsorted(x, qb[:above], "left", hi[:above], *work)
+            _merge_searchsorted(x, qb[above:], "left", hi[above:], *work)
             self._below_end += below
             self._above_start -= b - a - above
             # the window holds hi - lo + n * wraps points, the point itself once
-            hi -= lo
-            hi -= 1
-            hi[:below] += n
-            hi[above:] += n
-            self._counts[a:b] = hi
+            counts = self._counts[a:b]
+            np.subtract(hi, lo, out=counts)
+            counts -= 1
+            counts[:below] += n
+            counts[above:] += n
 
     @property
     def degrees(self):

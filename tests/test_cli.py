@@ -250,12 +250,12 @@ class TestOtherCommands:
 
 
 class TestRecordsBytes:
-    """records.csv of small sweep and consistency runs, pinned by sha256.
+    """records.csv of small sweep, consistency and denoise runs, pinned by sha256.
 
     Criterion 8 compares two runs of one build; these hashes pin the bytes
     themselves, so a change that moves the arithmetic of a trial (the label
-    and reference evaluation, the operator order, the interval apply, CG)
-    fails here.  They assume the cos/sin of this NumPy build, as
+    and reference evaluation, the operator order, the interval apply, CG,
+    the CSV writer) fails here.  They assume the cos/sin of this NumPy build, as
     perfbench/golden.json does.
     """
 
@@ -282,6 +282,16 @@ class TestRecordsBytes:
             ["consistency", "--eps_grid=0.4,0.3", "--trials=1", "--k_mult=0.5", "--s=2",
              "--modes=0:0.5:0.0;1:1.0:-0.3;2:0.0:0.25", "--seed=3"],
             "03cecc165990be418e407678d82c5d408b68d8a64aa6c55cfad56a708bc7846e",
+        ),
+        "denoise_d1": (
+            ["denoise", "--d=1", "--n=500", "--eps=0.05", "--tau=0.01",
+             "--modes=1:1.0:0.0;3:0.0:0.4", "--seed=2"],
+            "466d9e005b825cb7718b062c2dc8608741d216e54368b788a5004f8a1cc8980b",
+        ),
+        "denoise_d2": (
+            ["denoise", "--d=2", "--n=400", "--eps=0.15", "--tau=0.01",
+             "--modes=1,0:1.0:0.0;0,2:0.0:0.5", "--seed=1"],
+            "40e03215507bfe9ef9f038fde2e6e19d76f56cf1a0307f683cb926cc49ef16b6",
         ),
     }
 

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polylap import graph as graph_module
 from polylap.geometry import (
     INDICATOR,
     PLATEAU,
@@ -389,11 +390,37 @@ def assert_bitwise(got, ref):
 
 def assert_matches_reference(x, eps, signals):
     il, ref = IntervalLaplacian(x, eps), IntervalReference(x, eps)
+    assert np.array_equal(il._lo_rem, ref.lo) and np.array_equal(il._hi_rem, ref.hi)
     assert_bitwise(il.neighbor_counts(), ref.counts)
     assert_bitwise(il.degrees, ref.degrees)
     for u in signals:
         assert_bitwise(il.apply(u), ref.apply(u))
     return il, ref
+
+
+# values where the bit-pattern keys could go wrong: signed zeros, the
+# smallest subnormal, a tie-prone grid and the ends of [0, 1]
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-310, 0.25, 0.5, 1 - 2.0**-53, 1.0]
+UNIT_FLOATS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0))
+
+
+class TestMergeSearchsorted:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(UNIT_FLOATS, min_size=1, max_size=40),
+        q=st.lists(UNIT_FLOATS, max_size=40),
+        side=st.sampled_from(["left", "right"]),
+        block=st.integers(1, 9),
+    )
+    def test_matches_searchsorted(self, x, q, side, block):
+        # a small BLOCK splits the slices and query runs into many merges
+        x, q = np.array(sorted(x)), np.array(sorted(q))
+        out = np.full(q.size, -1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "BLOCK", block)
+            work = np.empty(2 * block, np.uint64), np.empty(2 * block, bool), np.arange(block)
+            graph_module._merge_searchsorted(x, q, side, out, *work)
+        assert np.array_equal(out, np.searchsorted(x, q, side))
 
 
 # three full blocks and a partial one
@@ -490,12 +517,69 @@ class TestIntervalApplyBitwise:
             _, ref = assert_matches_reference(x, 0.5, signals)
         assert np.any(ref.wraps == 2)
 
+    def test_signed_zeros(self):
+        # -0.0 equals +0.0 as a coordinate, and x - eps or x + eps - 1 is
+        # exactly 0.0 at x = 1/4 and x = 3/4
+        x = np.array([0.0, -0.0, 0.0, -0.0, 0.25, 0.5, 0.75, -0.0, 0.75, 0.25])
+        _, ref = assert_matches_reference(x, 0.25, [np.arange(10.0)])
+        assert ref.lo[np.sort(x) == 0.25].min() == 5  # all five zeros count
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310, 2.0**-53, 0.3, 0.5])
+    def test_subnormal_and_top_coordinates(self, eps):
+        x = np.array([5e-324, 1e-323, 1e-310, 2.0**-1022, 0.3, 1 - 2.0**-53, 1 - 2.0**-52])
+        if eps < 1e-300:  # 1/eps overflows, so compare the windows and counts
+            with np.errstate(over="ignore"):  # the reference's stored degrees
+                il, ref = IntervalLaplacian(x, eps), IntervalReference(x, eps)
+            assert np.array_equal(il._lo_rem, ref.lo) and np.array_equal(il._hi_rem, ref.hi)
+            assert_bitwise(il.neighbor_counts(), ref.counts)
+        else:
+            assert_matches_reference(x, eps, [np.linspace(-1.0, 1.0, x.size)])
+
+    def test_queries_rounding_to_zero_and_one(self):
+        # just below x = eps, x - eps + 1 rounds to 1.0; at x = 0.9, x + eps
+        # is 1.0, which wraps to 0.0
+        eps = 0.1
+        below_eps = np.nextafter(eps, 0.0)
+        x = np.array([0.0, below_eps, eps, 0.5, np.nextafter(0.9, 0.0), 0.9, 1 - 2.0**-53])
+        assert below_eps - eps + 1.0 == 1.0 and 0.9 + eps == 1.0
+        _, ref = assert_matches_reference(x, eps, [np.cos(np.arange(7.0))])
+        assert ref.lo[1] == x.size and ref.hi[5] == 0
+
+    @pytest.mark.parametrize("x", [[0.3], [0.0, 0.5], [0.25, 0.75], [0.1, 0.1]], ids=str)
+    def test_one_and_two_points_half_eps(self, x):
+        assert_matches_reference(np.array(x), 0.5, [np.arange(1.0, len(x) + 1.0)])
+
+    @pytest.mark.parametrize("eps", [1e-4, 0.01, 0.5])
+    def test_clustered_cloud(self, eps):
+        # the sparse points' windows reach into a cluster of many blocks
+        rng = make_rng(79)
+        x = np.concatenate([rng.random(N_BLOCKS) * 1e-3, rng.random(300), [0.0005] * 5000])
+        assert_matches_reference(x, eps, [rng.standard_normal(x.size)])
+
     def test_memory_budget(self, traced_peak):
         # init, then one apply, on its own copy of the points: the operator's
         # 20 B/pt, u, the prefix sums and the result, plus block-sized work
         # arrays (in all, 44 B/pt and about 16 * BLOCK bytes)
         n = 1_000_000
         x = sample_cloud(UNIFORM, n, 1, 77).points[:, 0]
+
+        def init_and_apply():
+            op = IntervalLaplacian(x, 0.05)
+            return op.apply(np.sin(2 * np.pi * op.x))
+
+        _, peak = traced_peak(init_and_apply)
+        assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{peak / n:.2f} B/pt"
+
+    def test_memory_budget_clustered(self, traced_peak):
+        # 99% of the points in [0, 1e-3): the windows of the sparse points
+        # reach into the cluster, whose slice the merge takes BLOCK points at
+        # a time.  The init alone holds the operator's 20 B/pt and its
+        # block-sized buffers (about 42 * BLOCK bytes), whatever the density
+        n = 1_000_000
+        rng = make_rng(78)
+        x = np.concatenate([rng.random(n - n // 100) * 1e-3, rng.random(n // 100)])
+        _, init_peak = traced_peak(IntervalLaplacian, x, 0.05)
+        assert init_peak <= 20 * n + 48 * BLOCK, f"{init_peak / n:.2f} B/pt"
 
         def init_and_apply():
             op = IntervalLaplacian(x, 0.05)
