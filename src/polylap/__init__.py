@@ -11,7 +11,6 @@ from .geometry import (
     UNIFORM,
     DensitySpec,
     KernelProfile,
-    PointCloud,
     sample_cloud,
     sigma_eta,
     torus_distance,
@@ -19,7 +18,6 @@ from .geometry import (
 from .graph import (
     IntervalLaplacian,
     KernelGraph,
-    apply_laplacian,
     apply_poly_laplacian,
     build_graph,
     degree_statistics,
@@ -33,7 +31,6 @@ from .solver import (
     SolverError,
     ansatz_signal,
     check_residual,
-    resolvent_problem,
     solve_resolvent,
     solve_resolvent_dense,
 )

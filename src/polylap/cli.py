@@ -26,7 +26,7 @@ from .continuum import FourierFunction
 from .geometry import UNIFORM, DensitySpec, KernelProfile, sample_cloud
 from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .graph import DENSE_THRESHOLD, dense_spectrum, dirichlet_energy, l2_mu_n
-from .solver import SolverError, check_residual, resolvent_problem, solve_resolvent
+from .solver import ResolventProblem, SolverError, check_residual, solve_resolvent
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -183,13 +183,12 @@ def cmd_denoise(params, threads, dry_run):
         n = int(params["n"])
         g = parse_modes(params["modes"], d)
         noise = parse_noise(params)
-        cloud = sample_cloud(parse_density(params), n, d, seed)
-        points = cloud.points
-        y = xp.gen_labels(g, cloud, noise, xp.derive_seed(seed, 1))
+        points = sample_cloud(parse_density(params), n, d, seed)
+        y = xp.gen_labels(g, points, noise, xp.derive_seed(seed, 1))
 
-    op, _, order = xp.make_operator(points, d, eps, kernel, want_order=True)
+    op, _, order = xp.make_operator(points, eps, kernel, want_order=True)
     y_op = y if order is None else y[order]
-    report = solve_resolvent(resolvent_problem(op, y_op, tau, s), **tol_kw)
+    report = solve_resolvent(ResolventProblem(op, y_op, tau, s), **tol_kw)
     check_residual(report, **tol_kw)
     reg = dirichlet_energy(op, report.solution, s)
     u = report.solution
@@ -271,7 +270,7 @@ def cmd_consistency(params, threads, dry_run):
         return resolved
 
     result = xp.consistency_sweep(
-        u, UNIFORM, s, eps_grid, rule, trials, seed, **_given(params, int, "n_cap")
+        u, s, eps_grid, rule, trials, seed, **_given(params, int, "n_cap")
     )
     xp.write_records_csv(result.records, os.path.join(_outdir(params), "records.csv"))
     return {"slope": result.slope, "stderr": result.slope_stderr, "config": resolved}
@@ -305,11 +304,11 @@ def cmd_spectrum(params, threads, dry_run):
     if n > DENSE_THRESHOLD:  # before any cloud is sampled or operator built
         raise ValidationError(f"n={n} exceeds the dense spectrum threshold {DENSE_THRESHOLD}")
     if points is None:
-        points = sample_cloud(parse_density(params), n, d, seed).points
+        points = sample_cloud(parse_density(params), n, d, seed)
     resolved = {"command": "spectrum", "d": d, "eps": eps, "n": n}
     if dry_run:
         return resolved
-    op, _, _ = xp.make_operator(points, d, eps, parse_kernel(params))
+    op, _, _ = xp.make_operator(points, eps, parse_kernel(params))
     vals, _ = dense_spectrum(op)
     return {"eigenvalues": [float(v) for v in vals], "config": resolved}
 

@@ -38,7 +38,6 @@ from .geometry import (
     UNIFORM,
     DensitySpec,
     KernelProfile,
-    PointCloud,
     make_rng,
     sample_cloud,
     sigma_eta,
@@ -51,10 +50,10 @@ from .graph import (
 )
 from .solver import (
     DEFAULT_TOL,
+    ResolventProblem,
     SolverError,
     ansatz_signal,
     check_residual,
-    resolvent_problem,
     solve_resolvent,
 )
 
@@ -86,12 +85,12 @@ class NoiseSpec:
         return self.scale * (2.0 * rng.integers(0, 2, n) - 1.0)
 
 
-def gen_labels(g: FourierFunction, cloud: PointCloud, noise: NoiseSpec, seed: int, g_values=None):
-    """y_i = g(x_i) + xi_i with iid noise, deterministic given the seed;
-    g_values, if given, is g already evaluated at the cloud points."""
+def gen_labels(g: FourierFunction, points, noise: NoiseSpec, seed: int, g_values=None):
+    """y_i = g(x_i) + xi_i with iid noise at the (n, d) points, deterministic
+    given the seed; g_values, if given, is g already evaluated there."""
     if g_values is None:
-        g_values = g.evaluate(cloud.points)
-    return g_values + noise.sample(make_rng(seed), cloud.n)
+        g_values = g.evaluate(points)
+    return g_values + noise.sample(make_rng(seed), len(points))
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,6 @@ class TrialConfig:
     base_seed: int
     n_index: int = 0
     trial: int = 0
-    kernel: KernelProfile = INDICATOR
     tol: float = DEFAULT_TOL
 
 
@@ -175,25 +173,26 @@ RECORD_FIELDS = [f.name for f in fields(ExperimentRecord)]
 MAX_EXPLICIT_EDGES = 20_000_000
 
 
-def make_operator(points, d, eps, kernel, want_order=False):
-    """Laplacian operator, node coordinates in operator order, and the
-    permutation mapping input order to operator order (None if unchanged
-    or not requested; the permutation costs memory at very large n).
+def make_operator(points, eps, kernel, want_order=False):
+    """Laplacian operator on an (n, d) array of points, node coordinates in
+    operator order, and the permutation mapping input order to operator
+    order (None if unchanged or not requested; the permutation costs memory
+    at very large n).
 
     The one place that picks the form: d = 1 with the indicator kernel gets
     the O(n) IntervalLaplacian, everything else the explicit epsilon-graph.
     An explicit graph whose expected edge count exceeds MAX_EXPLICIT_EDGES
     raises MemoryError before it is built.
     """
+    n, d = points.shape
     if d == 1 and kernel.kind == "indicator":
         order = _stable_argsort(points[:, 0]) if want_order else None
         op = IntervalLaplacian(points[:, 0], eps)
         return op, op.x.reshape(-1, 1), order
-    n = len(points)
     edges = n * (n - 1) / 2 * unit_ball_volume(d) * eps**d
     if edges > MAX_EXPLICIT_EDGES:
         raise MemoryError(f"explicit graph of ~{edges:.3g} edges exceeds {MAX_EXPLICIT_EDGES}")
-    return build_graph(PointCloud(points, UNIFORM, 0), eps, kernel), points, None
+    return build_graph(points, eps, kernel), points, None
 
 
 def _stable_argsort(x):
@@ -213,22 +212,22 @@ def run_trial(cfg: TrialConfig) -> ExperimentRecord:
     """One denoising trial against the exact uniform-density references."""
     cloud_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 0)
     noise_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 1)
-    cloud = sample_cloud(UNIFORM, cfg.n, cfg.d, cloud_seed)
-    op, _, order = make_operator(cloud.points, cfg.d, cfg.eps, cfg.kernel, want_order=True)
-    sigma = sigma_eta(cfg.kernel, cfg.d)
+    points = sample_cloud(UNIFORM, cfg.n, cfg.d, cloud_seed)
+    op, _, order = make_operator(points, cfg.eps, INDICATOR, want_order=True)
+    sigma = sigma_eta(INDICATOR, cfg.d)
     u_star = continuum_solve_uniform(cfg.g, cfg.tau, cfg.s, sigma)
     # g and u*_tau share their waves, evaluated once at the sampled points;
     # labels are drawn in sampling order so the (point, noise) pairing does
     # not depend on which operator representation is in play
-    g_nodes, u_star_nodes = cfg.g.evaluate_with(cloud.points, u_star)
-    y = gen_labels(cfg.g, cloud, cfg.noise, noise_seed, g_values=g_nodes)
+    g_nodes, u_star_nodes = cfg.g.evaluate_with(points, u_star)
+    y = gen_labels(cfg.g, points, cfg.noise, noise_seed, g_values=g_nodes)
     if order is not None:
         y, g_nodes, u_star_nodes = y[order], g_nodes[order], u_star_nodes[order]
     bias = exact_bias(cfg.g, cfg.tau, cfg.s, sigma)
 
     try:
         report = check_residual(
-            solve_resolvent(resolvent_problem(op, y, cfg.tau, cfg.s), tol=cfg.tol), cfg.tol
+            solve_resolvent(ResolventProblem(op, y, cfg.tau, cfg.s), tol=cfg.tol), cfg.tol
         )
     except SolverError as err:
         report = err.report
@@ -257,8 +256,12 @@ def run_trial(cfg: TrialConfig) -> ExperimentRecord:
 
 
 def _ols_slope(x, y):
+    """Least-squares slope of y against x and its standard error; NaN for
+    both when x has fewer than two distinct values."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if np.unique(x).size < 2:
+        return float("nan"), float("nan")
     xc = x - x.mean()
     slope = float(xc @ (y - y.mean()) / (xc @ xc))
     resid = y - (y.mean() + slope * xc)
@@ -364,7 +367,7 @@ class ConsistencyResult:
     stochastic_slope_stderr: float
 
 
-def _nonlocal_multipliers(u: FourierFunction, eps, kernel, s):
+def _nonlocal_multipliers(u: FourierFunction, eps, s):
     """Mode k -> multiplier of Delta_eps^s under the uniform density.
 
     Delta_eps is translation invariant there, so its multiplier is its value
@@ -373,7 +376,7 @@ def _nonlocal_multipliers(u: FourierFunction, eps, kernel, s):
     origin = np.zeros(u.d)
     return {
         k: nonlocal_laplacian(
-            FourierFunction.from_modes(u.d, [(k, 1.0, 0.0)]), UNIFORM, eps, kernel, origin
+            FourierFunction.from_modes(u.d, [(k, 1.0, 0.0)]), UNIFORM, eps, INDICATOR, origin
         )
         ** s
         for k in u.modes
@@ -384,52 +387,49 @@ def _median_slope(eps_grid, eps_values):
     """Log-log OLS slope of the per-eps medians of (eps, value) pairs; NaN
     for a degenerate sweep (single eps or exactly-zero errors)."""
     med = [float(np.median([v for e, v in eps_values if e == float(eps)])) for eps in eps_grid]
-    if len(med) >= 2 and all(v > 0.0 for v in med):
+    if all(v > 0.0 for v in med):
         return _ols_slope([math.log(e) for e in eps_grid], [math.log(v) for v in med])
     return float("nan"), float("nan")
 
 
 def consistency_sweep(
     u: FourierFunction,
-    rho: DensitySpec,
     s: int,
     eps_grid,
     n_rule,
     trials: int,
     base_seed: int,
     n_cap: int = 100_000_000,
-    kernel: KernelProfile = INDICATOR,
 ) -> ConsistencyResult:
     """Empirical ||Delta_n^s u - Delta_rho^s u|_nodes|| across an eps grid,
     with its split against the exact nonlocal reference Delta_eps^s u.
 
-    Uniform density only (both continuum references are modewise-exact
-    there).  The total is dominated by the O(eps^2) nonlocal bias of the
-    symmetric kernel, so its slope against eps sits near 2; the O(eps)
-    operator consistency is checked by the slope of the stochastic part
-    ||Delta_n^s u - Delta_eps^s u||.  For d >= 2 the quadrature of
-    nonlocal_laplacian limits the accuracy of Delta_eps^s u (see there).
+    Uniform density and indicator kernel only (both continuum references
+    are modewise-exact there).  The total is dominated by the O(eps^2)
+    nonlocal bias of the symmetric kernel, so its slope against eps sits
+    near 2; the O(eps) operator consistency is checked by the slope of the
+    stochastic part ||Delta_n^s u - Delta_eps^s u||.  For d >= 2 the
+    quadrature of nonlocal_laplacian limits the accuracy of Delta_eps^s u
+    (see there).
     """
-    if rho.kind != "uniform":
-        raise ValueError("consistency sweep requires the uniform density")
     d = u.d
-    sigma = sigma_eta(kernel, d)
+    sigma = sigma_eta(INDICATOR, d)
     ref = continuum_laplacian_uniform(u, sigma, s)
     records, stochastic, nonlocal_bias = [], [], {}
     for i, eps in enumerate(eps_grid):
         n = n_rule(eps)
         if n > n_cap:
             raise MemoryError(f"n(eps={eps}) = {n} exceeds the cap {n_cap}")
-        mult = _nonlocal_multipliers(u, eps, kernel, s)
+        mult = _nonlocal_multipliers(u, eps, s)
         nonlocal_bias[float(eps)] = u.map_modes(
             lambda k: mult[k] - mode_multiplier(k, sigma, s)
         ).l2_norm_uniform()
         ref_eps = u.map_modes(lambda k: mult[k])  # Delta_eps^s u, exactly
         for t in range(trials):
             seed = derive_seed(base_seed, i, t)
-            cloud = sample_cloud(UNIFORM, n, d, seed)
-            op, nodes, _ = make_operator(cloud.points, d, eps, kernel)
-            del cloud  # the fast path keeps its own sorted copy; free the original
+            points = sample_cloud(UNIFORM, n, d, seed)
+            op, nodes, _ = make_operator(points, eps, INDICATOR)
+            del points  # the fast path keeps its own sorted copy; free the original
             # apply_poly_laplacian's loop, dropping each input once applied
             lu = u.evaluate(nodes)
             for _ in range(s):
@@ -489,8 +489,8 @@ def degree_concentration_check(
         raise ValueError("need n * eps^d >= 1")
     lo, hi, cnt = math.inf, -math.inf, 0
     for t in range(trials):
-        cloud = sample_cloud(density, n, d, derive_seed(base_seed, t))
-        op, _, _ = make_operator(cloud.points, d, eps, kernel)
+        points = sample_cloud(density, n, d, derive_seed(base_seed, t))
+        op, _, _ = make_operator(points, eps, kernel)
         mn, mx, mc = degree_statistics(op)
         lo, hi, cnt = min(lo, mn), max(hi, mx), max(cnt, mc)
     cap = cap_mult * unit_ball_volume(d) * n * eps**d
@@ -506,7 +506,6 @@ def ansatz_norm_sweep(
     noise: NoiseSpec,
     trials: int,
     base_seed: int,
-    kernel: KernelProfile = INDICATOR,
 ):
     """Median of ||w_tilde|| * tau / eps^(2s) per eps; bounded spread checks
     the degree-only response estimate."""
@@ -514,8 +513,8 @@ def ansatz_norm_sweep(
     for i, eps in enumerate(eps_grid):
         vals = []
         for t in range(trials):
-            cloud = sample_cloud(UNIFORM, n, d, derive_seed(base_seed, i, t, 0))
-            op, _, _ = make_operator(cloud.points, d, eps, kernel)
+            points = sample_cloud(UNIFORM, n, d, derive_seed(base_seed, i, t, 0))
+            op, _, _ = make_operator(points, eps, INDICATOR)
             rng = make_rng(derive_seed(base_seed, i, t, 1))
             xi = noise.sample(rng, n)
             w = ansatz_signal(op, xi, tau, s)

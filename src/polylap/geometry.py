@@ -108,31 +108,15 @@ class DensitySpec:
 UNIFORM = DensitySpec("uniform")
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """n sampled points on [0,1)^d together with how they were drawn."""
-
-    points: np.ndarray
-    density: DensitySpec
-    seed: int
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def d(self):
-        return self.points.shape[1]
-
-
 def make_rng(seed, *path):
     """Counter-based generator; (seed, *path) indexes an independent stream."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> PointCloud:
-    """Draw n iid points from the density by rejection against rho_max.
+def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> np.ndarray:
+    """Draw n iid points from the density by rejection against rho_max, as an
+    (n, d) array on [0,1)^d.
 
     Deterministic given the seed.  A proposal cap (1000x the expected number
     needed) turns a malformed spec into an error instead of a hang.
@@ -143,7 +127,7 @@ def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> PointCloud:
         raise ValueError("mode vector length must equal d")
     rng = make_rng(seed)
     if spec.kind == "uniform":
-        return PointCloud(rng.random((n, d)), spec, int(seed))
+        return rng.random((n, d))
 
     accept_rate = 1.0 / spec.rho_max  # mass is 1, proposals uniform
     max_proposals = int(1000 * n / accept_rate)
@@ -159,8 +143,7 @@ def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> PointCloud:
         chunks.append(pts[keep])
         accepted += int(keep.sum())
         proposed += m
-    points = np.concatenate(chunks)[:n]
-    return PointCloud(points, spec, int(seed))
+    return np.concatenate(chunks)[:n]
 
 
 @functools.cache

@@ -16,11 +16,10 @@ prefix sums and result.  Its construction finds the window ends in O(n) too:
 a block's shifted coordinates x - eps and x + eps are at most two ascending
 runs each, and each run is merged into the slice of sorted points that holds
 its answers by a stable sort of bit-pattern keys, with no binary search per
-point.  `experiments.make_operator` is the one place that
-picks between the two forms.  Both share one operator protocol: `n`, `d`,
-`eps`, `kernel`, `degrees`, `neighbor_counts()` and `apply(u)`.  All else
-here uses only that protocol, and so does the solver; `dense_spectrum`
-assembles its matrix from `apply`.
+point.  `experiments.make_operator` is the one place that picks between the
+two forms.  Both share one operator protocol: `n`, `eps`, `degrees`,
+`neighbor_counts()` and `apply(u)`.  All else here uses only that protocol,
+and so does the solver; `dense_spectrum` assembles its matrix from `apply`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .geometry import INDICATOR, KernelProfile, PointCloud, torus_distance
+from .geometry import INDICATOR, KernelProfile, torus_distance
 
 DENSE_THRESHOLD = 500
 # points per block of IntervalLaplacian's construction and apply
@@ -54,9 +53,7 @@ class KernelGraph:
     directions stored); indptr, indices and weights are read-only views."""
 
     n: int
-    d: int
     eps: float
-    kernel: KernelProfile
     w: sp.csr_matrix
     degrees: np.ndarray
 
@@ -102,7 +99,7 @@ def _validate_eps(eps):
         raise ValueError("eps must be <= 1/2 on the unit torus")
 
 
-def _from_pairs(n, d, eps, kernel, i, j, w) -> KernelGraph:
+def _from_pairs(n, eps, i, j, w) -> KernelGraph:
     """KernelGraph with W_ij = W_ji = w for each unordered pair (i, j)."""
     coo = sp.coo_matrix(
         (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
@@ -111,34 +108,29 @@ def _from_pairs(n, d, eps, kernel, i, j, w) -> KernelGraph:
     csr = coo.tocsr()
     csr.sort_indices()
     # row sums accumulated in stored order, so apply(u) is reproducible
-    return KernelGraph(n, d, float(eps), kernel, csr, csr @ np.ones(n))
+    return KernelGraph(n, float(eps), csr, csr @ np.ones(n))
 
 
-def build_graph(cloud: PointCloud, eps: float, kernel: KernelProfile = INDICATOR) -> KernelGraph:
-    """Exact epsilon-graph: all and only pairs with torus distance < eps.
+def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> KernelGraph:
+    """Exact epsilon-graph on an (n, d) array of points: all and only pairs
+    with torus distance < eps.
 
     A periodic k-d tree proposes the pairs within a slightly larger radius;
     the torus distance and the kernel weight alone decide which of them are
     edges, so the edge set does not depend on how the tree rounds distances.
     """
     _validate_eps(eps)
-    pts = cloud.points
-    n, d = pts.shape
+    n, d = points.shape
     if n == 0:
         raise ValueError("cloud is empty")
-    if not (pts.min() >= 0.0 and pts.max() < 1.0):  # NaN fails both tests
+    if not (points.min() >= 0.0 and points.max() < 1.0):  # NaN fails both tests
         raise ValueError("points must be finite and lie in [0,1)^d")
-    pairs = cKDTree(pts, boxsize=1.0).query_pairs(eps * (1 + 1e-12), output_type="ndarray")
+    pairs = cKDTree(points, boxsize=1.0).query_pairs(eps * (1 + 1e-12), output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
-    dist = torus_distance(pts[i], pts[j])
+    dist = torus_distance(points[i], points[j])
     w = kernel.eval(dist / eps) * eps ** (-d)
     keep = (dist < eps) & (w > 0.0)
-    return _from_pairs(n, d, eps, kernel, i[keep], j[keep], w[keep])
-
-
-def apply_laplacian(graph, u):
-    """v_i = (2/(n eps^2)) sum_j W_ij (u_i - u_j).  Constants map to zero."""
-    return graph.apply(u)
+    return _from_pairs(n, eps, i[keep], j[keep], w[keep])
 
 
 def apply_poly_laplacian(graph, u, s: int):
@@ -243,8 +235,6 @@ class IntervalLaplacian:
     search per point.
     """
 
-    d = 1
-
     def __init__(self, points_1d, eps):
         _validate_eps(eps)
         x = np.sort(np.asarray(points_1d, dtype=float).reshape(-1))
@@ -263,7 +253,6 @@ class IntervalLaplacian:
         # and each block's queries form at most two ascending runs.
         self.n = n
         self.eps = float(eps)
-        self.kernel = INDICATOR
         self.x = x
         self._lo_rem = np.empty(n, np.int32)
         self._hi_rem = np.empty(n, np.int32)

@@ -275,7 +275,3 @@ def solve_resolvent_dense(p: ResolventProblem):
     s = p.s
     filt = coeffs / (1.0 + p.tau * lam**s)
     return vecs @ filt
-
-
-def resolvent_problem(graph, y, tau, s=1):
-    return ResolventProblem(graph, np.asarray(y, dtype=float), float(tau), s)

@@ -41,12 +41,11 @@ from polylap.geometry import (
 )
 from polylap.graph import (
     build_graph,
-    apply_laplacian,
     dirichlet_energy,
     inner_mu_n,
     l2_mu_n,
 )
-from polylap.solver import resolvent_problem, solve_resolvent, solve_resolvent_dense
+from polylap.solver import ResolventProblem, solve_resolvent, solve_resolvent_dense
 from polylap import cli
 
 G_TEST = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 0.5)])
@@ -71,7 +70,7 @@ def test_criterion_1_oracle_equivalence():
         s, tau = cases[k % len(cases)]
         graph = build_graph(sample_cloud(UNIFORM, n, d, 5000 + k), 0.25)
         y = rng.standard_normal(n)
-        p = resolvent_problem(graph, y, tau, s)
+        p = ResolventProblem(graph, y, tau, s)
         diff = l2_mu_n(solve_resolvent(p).solution - solve_resolvent_dense(p))
         worst = max(worst, diff)
     report("criterion 1: oracle equivalence", worst < 1e-8, f"worst diff {worst:.2e}")
@@ -87,7 +86,7 @@ def test_criterion_2_non_expansiveness():
         graph = build_graph(sample_cloud(UNIFORM, n, 1, 6000 + k), 0.25)
         y = rng.standard_normal(n)
         s, tau = combos[k % len(combos)]
-        u = solve_resolvent(resolvent_problem(graph, y, tau, s)).solution
+        u = solve_resolvent(ResolventProblem(graph, y, tau, s)).solution
         worst = max(worst, l2_mu_n(u) / l2_mu_n(y))
     report("criterion 2: non-expansiveness", worst <= 1.0 + 1e-8, f"worst ratio {worst:.12f}")
 
@@ -124,7 +123,7 @@ def test_criterion_4_consistency_slope():
     u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
     eps_grid = [0.2, 0.14, 0.1, 0.07]
     t0 = time.time()
-    res = consistency_sweep(u, UNIFORM, 1, eps_grid, default_n_rule(40, 1, 1), 5, 0)
+    res = consistency_sweep(u, 1, eps_grid, default_n_rule(40, 1, 1), 5, 0)
     elapsed = time.time() - t0
     split_ok = True
     for eps in eps_grid:
@@ -186,18 +185,17 @@ def test_criterion_6_invariant_suites():
     rng = make_rng(106)
     for _ in range(20):
         u, w = rng.standard_normal(150), rng.standard_normal(150)
-        lu = apply_laplacian(g, u)
-        ok &= abs(inner_mu_n(lu, w) - inner_mu_n(u, apply_laplacian(g, w))) < 1e-11 * max(
+        lu = g.apply(u)
+        ok &= abs(inner_mu_n(lu, w) - inner_mu_n(u, g.apply(w))) < 1e-11 * max(
             1.0, abs(inner_mu_n(lu, w))
         )
         ok &= inner_mu_n(lu, u) >= -1e-10 * l2_mu_n(u) ** 2
-    ok &= np.max(np.abs(apply_laplacian(g, np.ones(150)))) < 1e-12 * 150
+    ok &= np.max(np.abs(g.apply(np.ones(150)))) < 1e-12 * 150
 
     # cell list vs brute force edge sets
     for d in (1, 2, 3):
-        cloud = sample_cloud(UNIFORM, 100, d, 7100 + d)
-        graph = build_graph(cloud, 0.3, INDICATOR)
-        pts = cloud.points
+        pts = sample_cloud(UNIFORM, 100, d, 7100 + d)
+        graph = build_graph(pts, 0.3, INDICATOR)
         brute = {
             (i, j)
             for i in range(100)

@@ -12,9 +12,9 @@ import pytest
 
 from polylap import cli
 from polylap.experiments import NoiseSpec, derive_seed, gen_labels, make_operator
-from polylap.geometry import INDICATOR, UNIFORM, PointCloud, sample_cloud
+from polylap.geometry import INDICATOR, UNIFORM, sample_cloud
 from polylap.graph import build_graph
-from polylap.solver import resolvent_problem, solve_resolvent
+from polylap.solver import ResolventProblem, solve_resolvent
 
 
 def run_cli(*argv):
@@ -72,7 +72,7 @@ class TestDenoise:
 
     def test_constant_labels_fixed_point(self, tmp_path):
         csv = tmp_path / "input.csv"
-        pts = sample_cloud(UNIFORM, 30, 1, 5).points[:, 0]
+        pts = sample_cloud(UNIFORM, 30, 1, 5)[:, 0]
         csv.write_text("x1,y\n" + "".join(f"{float(p)!r},2.5\n" for p in pts))
         out = tmp_path / "out"
         code = run_cli(
@@ -110,15 +110,15 @@ class TestDenoise:
         g = cli.parse_modes("1:1.0:0.0;2:0.0:0.5", d)
         cloud = sample_cloud(UNIFORM, n, d, seed)
         y = gen_labels(g, cloud, NoiseSpec("gaussian", 0.1), derive_seed(seed, 1))
-        op, _, order = make_operator(cloud.points, d, eps, INDICATOR, want_order=True)
+        op, _, order = make_operator(cloud, eps, INDICATOR, want_order=True)
         u = np.empty(n)
-        u[order] = solve_resolvent(resolvent_problem(op, y[order], tau, s)).solution
-        assert np.array_equal(rows[:, 0], cloud.points[:, 0])
+        u[order] = solve_resolvent(ResolventProblem(op, y[order], tau, s)).solution
+        assert np.array_equal(rows[:, 0], cloud[:, 0])
         assert np.array_equal(rows[:, 1], y)
         assert np.array_equal(rows[:, 2], u)
 
-        graph = build_graph(PointCloud(cloud.points, UNIFORM, seed), eps)
-        u_explicit = solve_resolvent(resolvent_problem(graph, y, tau, s)).solution
+        graph = build_graph(cloud, eps)
+        u_explicit = solve_resolvent(ResolventProblem(graph, y, tau, s)).solution
         assert rows[:, 2] == pytest.approx(u_explicit, rel=1e-9)
 
     def test_d1_indicator_builds_no_explicit_graph(self, tmp_path, refuse):
@@ -354,6 +354,34 @@ class TestExitCodes:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_benchmark_tracer_reads_every_layer(self, tmp_path):
+        # a call that bypasses a name perfbench/spans.py wraps reads 0 here;
+        # no tiny run fails a solve, so solver.failed stays 0
+        root = pathlib.Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+        runs = [
+            ["denoise", "--d=2", "--n=400", "--eps=0.15", "--s=2", "--tau=0.01",
+             "--modes=1,0:1.0:0.0;0,2:0.0:0.5"],
+            ["sweep", "--d=1", "--n_grid=256,512", "--trials=2", "--threads=1"],
+            ["consistency", "--eps_grid=0.3,0.2", "--trials=2", "--k_mult=0.5"],
+        ]
+        script = (
+            "import json, sys, spans, polylap.cli as cli\n"
+            "tracer = spans.Tracer()\n"
+            "spans.install(tracer)\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv + ['--out', sys.argv[2]]) == 0, argv\n"
+            "print(json.dumps(spans.summary(tracer)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stdout.splitlines()[-1])
+        assert summary.pop("solver.failed") == 0
+        assert [name for name, value in summary.items() if not value > 0] == []
 
     def test_console_entry_point(self):
         proc = subprocess.run(

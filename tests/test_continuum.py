@@ -80,7 +80,7 @@ class TestEvaluateWith:
     def test_bitwise_at_sorted_nodes(self, tau, s):
         # run_trial evaluates at the sampled points and permutes into the
         # d=1 operator order; the parent evaluated at the sorted nodes
-        x = sample_cloud(UNIFORM, 2000, 1, 17).points
+        x = sample_cloud(UNIFORM, 2000, 1, 17)
         order = np.argsort(x[:, 0], kind="stable")
         u_star = continuum_solve_uniform(self.G, tau, s, SIGMA1)
         g_pts, u_pts = self.G.evaluate_with(x, u_star)
@@ -102,7 +102,7 @@ class TestEvaluateWith:
             )
             lap = continuum_laplacian_uniform(f, SIGMA1, 2)  # drops the constant mode
             cos_only = f.map_modes(lambda k: 0.0 if k == sin_k else 3.0)
-            x = sample_cloud(UNIFORM, n, d, 4).points
+            x = sample_cloud(UNIFORM, n, d, 4)
             outs = f.evaluate_with(x, lap, cos_only)
             for fn, got in zip((f, lap, cos_only), outs):
                 assert same_bits(got, evaluate_reference(fn, x))

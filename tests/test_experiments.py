@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from polylap.geometry import (
     PLATEAU,
     UNIFORM,
     DensitySpec,
-    PointCloud,
     make_rng,
     sample_cloud,
 )
@@ -51,9 +51,9 @@ SINE = [((1,), 0.0, 1.0)]
 COS_SIN = [((1,), 0.3, 1.0)]  # a cosine and a sine in one mode
 
 
-def explicit_operator(points, d, eps, kernel, want_order=False):
+def explicit_operator(points, eps, kernel, want_order=False):
     """make_operator without the d=1 fast path: always the explicit graph."""
-    return build_graph(PointCloud(points, UNIFORM, 0), eps, kernel), points, None
+    return build_graph(points, eps, kernel), points, None
 
 
 class TestSeeds:
@@ -89,7 +89,7 @@ class TestGenLabels:
     def test_vanishing_noise(self):
         cloud = sample_cloud(UNIFORM, 200, 1, 5)
         y = gen_labels(G_DEFAULT, cloud, NoiseSpec("gaussian", 1e-12), 6)
-        assert np.max(np.abs(y - G_DEFAULT.evaluate(cloud.points))) < 1e-10
+        assert np.max(np.abs(y - G_DEFAULT.evaluate(cloud))) < 1e-10
 
     def test_deterministic(self):
         cloud = sample_cloud(UNIFORM, 50, 1, 7)
@@ -224,11 +224,22 @@ class TestRateSweep:
         with pytest.raises(ValueError):
             rate_sweep(sch, G_DEFAULT, NoiseSpec("gaussian", 0.1), 0, 0)
 
+    def test_single_n_nan_slopes(self):
+        # one n leaves nothing to fit: NaN slopes, not a 0/0 RuntimeWarning
+        sch = Schedule(d=1, s=1, n_grid=(256,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rate_sweep(sch, G_DEFAULT, NoiseSpec("gaussian", 0.1), 2, 0)
+        assert len(res.records) == 2
+        for slope in (res.slope_vs_n, res.slope_vs_n_stderr, res.slope_vs_rate,
+                      res.slope_vs_rate_stderr):
+            assert math.isnan(slope)
+
 
 class TestConsistencySweep:
     def test_constant_zero_error(self):
         u = FourierFunction.from_modes(1, [((0,), 3.0, 0.0)])
-        res = consistency_sweep(u, UNIFORM, 1, [0.2, 0.1], lambda e: 200, 2, 0)
+        res = consistency_sweep(u, 1, [0.2, 0.1], lambda e: 200, 2, 0)
         assert all(r.consistency_err < 1e-10 for r in res.records)
         assert all(v < 1e-10 for v in res.stochastic_err)
         assert res.nonlocal_bias == {0.2: 0.0, 0.1: 0.0}
@@ -238,7 +249,7 @@ class TestConsistencySweep:
         # sin(2 pi x): Delta_eps multiplier 4/eps^2 (1 - sinc(2 pi eps)) against
         # the local sigma_eta 4 pi^2 = (2/3) 4 pi^2, and ||sin|| = 1/sqrt(2)
         u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
-        res = consistency_sweep(u, UNIFORM, 1, [eps], lambda e: 300, 1, 0)
+        res = consistency_sweep(u, 1, [eps], lambda e: 300, 1, 0)
         a = 2.0 * math.pi * eps
         exact = abs(4.0 / eps**2 * (1.0 - math.sin(a) / a) - 2.0 / 3.0 * 4.0 * math.pi**2)
         assert res.nonlocal_bias[eps] == pytest.approx(exact / math.sqrt(2.0), rel=1e-9)
@@ -246,9 +257,9 @@ class TestConsistencySweep:
     def test_stochastic_part_matches_direct_evaluation(self):
         u = FourierFunction.from_modes(1, [((1,), 0.3, 1.0), ((3,), -0.2, 0.5)])
         eps, n, s = 0.15, 3000, 2
-        res = consistency_sweep(u, UNIFORM, s, [eps], lambda e: n, 1, 5)
+        res = consistency_sweep(u, s, [eps], lambda e: n, 1, 5)
         cloud = sample_cloud(UNIFORM, n, 1, derive_seed(5, 0, 0))
-        op = IntervalLaplacian(cloud.points[:, 0], eps)
+        op = IntervalLaplacian(cloud[:, 0], eps)
         nodes = op.x.reshape(-1, 1)
         ref_eps = u.map_modes(
             lambda k: nonlocal_laplacian(
@@ -261,7 +272,7 @@ class TestConsistencySweep:
 
     def test_single_eps_nan_slopes(self):
         u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
-        res = consistency_sweep(u, UNIFORM, 1, [0.2], lambda e: 200, 2, 0)
+        res = consistency_sweep(u, 1, [0.2], lambda e: 200, 2, 0)
         assert math.isnan(res.slope) and math.isnan(res.stochastic_slope)
         assert math.isnan(res.stochastic_slope_stderr)
         assert len(res.stochastic_err) == len(res.records) == 2
@@ -270,14 +281,7 @@ class TestConsistencySweep:
         u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
         with pytest.raises(MemoryError):
             consistency_sweep(
-                u, UNIFORM, 1, [0.05], default_n_rule(40, 1, 1), 1, 0, n_cap=10_000
-            )
-
-    def test_non_uniform_rejected(self):
-        u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
-        with pytest.raises(ValueError):
-            consistency_sweep(
-                u, DensitySpec("cosine_bump", 0.5, (1,)), 1, [0.2], lambda e: 100, 1, 0
+                u, 1, [0.05], default_n_rule(40, 1, 1), 1, 0, n_cap=10_000
             )
 
     @pytest.mark.parametrize(
@@ -294,7 +298,7 @@ class TestConsistencySweep:
         # mode has
         n = 1_000_000
         u = FourierFunction.from_modes(1, modes)
-        res, peak = traced_peak(consistency_sweep, u, UNIFORM, s, [0.1], lambda e: n, 2, 3)
+        res, peak = traced_peak(consistency_sweep, u, s, [0.1], lambda e: n, 2, 3)
         assert [r.n for r in res.records] == [n, n]
         assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{peak / n:.2f} B/pt"
 
@@ -303,7 +307,7 @@ class TestConsistencySweep:
         # over as eps shrinks; s = 2 needs the steeper exponent
         u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
         eps_grid = [0.4, 0.3, 0.2]
-        res = consistency_sweep(u, UNIFORM, 2, eps_grid, default_n_rule(5, 1, 2), 3, 2)
+        res = consistency_sweep(u, 2, eps_grid, default_n_rule(5, 1, 2), 3, 2)
         med = [
             float(np.median([r.consistency_err for r in res.records if r.eps == e]))
             for e in eps_grid
@@ -356,10 +360,10 @@ class TestDegreeConcentration:
 class TestMakeOperator:
     def test_explicit_size_guard(self, refuse):
         refuse("build_graph")
-        points = sample_cloud(UNIFORM, 100_000, 1, 0).points
+        points = sample_cloud(UNIFORM, 100_000, 1, 0)
         with pytest.raises(MemoryError, match="edges"):
-            xp.make_operator(points, 1, 0.05, PLATEAU)
-        op, _, _ = xp.make_operator(points, 1, 0.05, INDICATOR)  # interval form: no cap
+            xp.make_operator(points, 0.05, PLATEAU)
+        op, _, _ = xp.make_operator(points, 0.05, INDICATOR)  # interval form: no cap
         assert op.n == 100_000
 
 
@@ -370,16 +374,16 @@ class TestOperatorOrder:
         # on a 1/64 grid most coordinates are tied; the stable order keeps
         # tied points in sampling order
         for seed in range(3):
-            x = sample_cloud(UNIFORM, n, 1, 900 + seed).points
+            x = sample_cloud(UNIFORM, n, 1, 900 + seed)
             if grid:
                 x = np.floor(x * grid) / grid
-            _, nodes, order = xp.make_operator(x, 1, 0.1, INDICATOR, want_order=True)
+            _, nodes, order = xp.make_operator(x, 0.1, INDICATOR, want_order=True)
             assert np.array_equal(order, np.argsort(x[:, 0], kind="stable"))
             assert np.array_equal(nodes[:, 0], x[order, 0])
 
     def test_reversed_and_constant(self):
         for x in (np.linspace(0.9, 0.0, 200), np.full(200, 0.25), np.repeat([0.5, 0.1], 100)):
-            _, _, order = xp.make_operator(x.reshape(-1, 1), 1, 0.1, INDICATOR, want_order=True)
+            _, _, order = xp.make_operator(x.reshape(-1, 1), 0.1, INDICATOR, want_order=True)
             assert np.array_equal(order, np.argsort(x, kind="stable"))
 
 

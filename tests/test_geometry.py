@@ -141,14 +141,14 @@ class TestSampleCloud:
     def test_determinism(self):
         a = sample_cloud(UNIFORM, 4, 1, 7)
         b = sample_cloud(UNIFORM, 4, 1, 7)
-        assert np.array_equal(a.points, b.points)
-        assert a.points.shape == (4, 1)
-        assert np.all((a.points >= 0.0) & (a.points < 1.0))
+        assert np.array_equal(a, b)
+        assert a.shape == (4, 1)
+        assert np.all((a >= 0.0) & (a < 1.0))
 
     def test_single_point(self):
         c = sample_cloud(UNIFORM, 1, 3, 0)
-        assert c.points.shape == (1, 3)
-        assert np.all((c.points >= 0.0) & (c.points < 1.0))
+        assert c.shape == (1, 3)
+        assert np.all((c >= 0.0) & (c < 1.0))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -159,7 +159,7 @@ class TestSampleCloud:
     def test_cosine_bump_histogram(self):
         spec = DensitySpec("cosine_bump", 0.5, (1,))
         n = 100_000
-        pts = sample_cloud(spec, n, 1, 42).points[:, 0]
+        pts = sample_cloud(spec, n, 1, 42)[:, 0]
         counts, edges = np.histogram(pts, bins=10, range=(0.0, 1.0))
         for c, a, b in zip(counts, edges[:-1], edges[1:]):
             # analytic bin mass of rho(x) = 1 + 0.5 cos(2 pi x)
@@ -173,7 +173,7 @@ class TestSampleCloud:
         # statistical smoke test at one fixed seed, 1% critical value
         spec = DensitySpec("cosine_bump", 0.5, (1,))
         n = 100_000
-        pts = sample_cloud(spec, n, 1, 123).points[:, 0]
+        pts = sample_cloud(spec, n, 1, 123)[:, 0]
         cdf = lambda x: x + 0.5 * np.sin(2 * np.pi * x) / (2 * np.pi)
         stat = stats.kstest(pts, cdf).statistic
         assert stat < 1.6276 / math.sqrt(n)

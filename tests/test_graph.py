@@ -13,7 +13,6 @@ from polylap.geometry import (
     INDICATOR,
     PLATEAU,
     UNIFORM,
-    PointCloud,
     make_rng,
     sample_cloud,
     torus_distance,
@@ -21,7 +20,6 @@ from polylap.geometry import (
 from polylap.graph import (
     BLOCK,
     IntervalLaplacian,
-    apply_laplacian,
     apply_poly_laplacian,
     build_graph,
     degree_statistics,
@@ -33,8 +31,7 @@ from polylap.graph import (
 
 
 def two_point_graph():
-    cloud = PointCloud(np.array([[0.0], [0.1]]), UNIFORM, 0)
-    return build_graph(cloud, 0.2, INDICATOR)
+    return build_graph(np.array([[0.0], [0.1]]), 0.2, INDICATOR)
 
 
 def brute_force_edges(points, eps, kernel, d, block=256):
@@ -73,14 +70,12 @@ def dense_laplacian(graph):
 
 class TestBuildGraph:
     def test_three_point_hand_example(self):
-        cloud = PointCloud(np.array([[0.0], [0.1], [0.5]]), UNIFORM, 0)
-        g = build_graph(cloud, 0.2, INDICATOR)
+        g = build_graph(np.array([[0.0], [0.1], [0.5]]), 0.2, INDICATOR)
         assert stored_edges(g) == {(0, 1): pytest.approx(5.0, rel=1e-15)}
         assert g.edge_count == 1
 
     def test_empty_graph(self):
-        cloud = PointCloud(np.array([[0.0], [0.5]]), UNIFORM, 0)
-        g = build_graph(cloud, 0.1, INDICATOR)
+        g = build_graph(np.array([[0.0], [0.5]]), 0.1, INDICATOR)
         assert g.edge_count == 0
         assert np.all(g.degrees == 0.0)
         assert degree_statistics(g) == (0.0, 0.0, 0)
@@ -94,10 +89,10 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("bad", [-0.2, 1.0, 1.7, np.nan, np.inf, -np.inf])
     def test_points_outside_unit_torus(self, bad):
-        pts = sample_cloud(UNIFORM, 10, 2, 0).points.copy()
+        pts = sample_cloud(UNIFORM, 10, 2, 0).copy()
         pts[3, 1] = bad
         with pytest.raises(ValueError, match=r"\[0,1\)"):
-            build_graph(PointCloud(pts, UNIFORM, 0), 0.2)
+            build_graph(pts, 0.2)
         with pytest.raises(ValueError, match=r"\[0,1\)"):
             IntervalLaplacian(pts[:, 1], 0.2)
 
@@ -112,14 +107,14 @@ class TestBuildGraph:
         rows = np.asarray(w.sum(axis=1)).reshape(-1)
         assert np.allclose(rows, g.degrees, rtol=1e-12, atol=0)
         # every stored edge is inside the radius
-        pts = sample_cloud(UNIFORM, 200, 2, 5).points
+        pts = sample_cloud(UNIFORM, 200, 2, 5)
         for (i, j), _ in stored_edges(g).items():
             assert torus_distance(pts[i], pts[j]) < g.eps
 
     def test_brute_force_equality_2000_points(self):
         cloud = sample_cloud(UNIFORM, 2000, 2, 9)
         g = build_graph(cloud, 0.1, INDICATOR)
-        ref = brute_force_edges(cloud.points, 0.1, INDICATOR, 2)
+        ref = brute_force_edges(cloud, 0.1, INDICATOR, 2)
         got = stored_edges(g)
         assert set(got) == set(ref)
         for k in ref:
@@ -137,7 +132,7 @@ class TestBuildGraph:
             kernel = kernels[case % 2]
             cloud = sample_cloud(UNIFORM, n, d, int(rng.integers(0, 2**31)))
             g = build_graph(cloud, eps, kernel)
-            ref = brute_force_edges(cloud.points, eps, kernel, d)
+            ref = brute_force_edges(cloud, eps, kernel, d)
             got = stored_edges(g)
             assert set(got) == set(ref), (d, case)
             for k in ref:
@@ -158,7 +153,7 @@ class TestBuildGraph:
         ))
         points = np.array(cells, dtype=float) / 64.0
         eps = eps_64ths / 64.0
-        g = build_graph(PointCloud(points, UNIFORM, 0), eps, kernel)
+        g = build_graph(points, eps, kernel)
         ref = brute_force_edges(points, eps, kernel, d)
         got = stored_edges(g)
         assert set(got) == set(ref)
@@ -166,32 +161,31 @@ class TestBuildGraph:
             assert got[k] == pytest.approx(ref[k], rel=1e-14)
 
     def test_duplicate_points_legal(self):
-        cloud = PointCloud(np.array([[0.3], [0.3]]), UNIFORM, 0)
-        g = build_graph(cloud, 0.1, INDICATOR)
+        g = build_graph(np.array([[0.3], [0.3]]), 0.1, INDICATOR)
         assert stored_edges(g) == {(0, 1): pytest.approx(10.0)}
 
 
 class TestApplyLaplacian:
     def test_constant_in_nullspace(self):
         g = build_graph(sample_cloud(UNIFORM, 150, 1, 3), 0.1)
-        out = apply_laplacian(g, np.full(150, 3.7))
+        out = g.apply(np.full(150, 3.7))
         assert np.max(np.abs(out)) < 1e-12 * 150
 
     def test_two_point_hand_values(self):
         g = two_point_graph()
-        assert apply_laplacian(g, np.array([1.0, 0.0])) == pytest.approx([125.0, -125.0])
+        assert g.apply(np.array([1.0, 0.0])) == pytest.approx([125.0, -125.0])
 
     def test_linearity(self):
         g = build_graph(sample_cloud(UNIFORM, 100, 2, 8), 0.2)
         rng = make_rng(17)
         u, w = rng.standard_normal(100), rng.standard_normal(100)
-        lhs = apply_laplacian(g, 2.0 * u - 3.0 * w)
-        rhs = 2.0 * apply_laplacian(g, u) - 3.0 * apply_laplacian(g, w)
+        lhs = g.apply(2.0 * u - 3.0 * w)
+        rhs = 2.0 * g.apply(u) - 3.0 * g.apply(w)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            apply_laplacian(two_point_graph(), np.zeros(3))
+            two_point_graph().apply(np.zeros(3))
 
     def test_matches_dense_matrix(self):
         for seed, d in [(1, 1), (2, 2)]:
@@ -199,14 +193,14 @@ class TestApplyLaplacian:
             g = build_graph(sample_cloud(UNIFORM, n, d, seed), 0.15)
             lap = dense_laplacian(g)
             u = make_rng(seed, 1).standard_normal(n)
-            assert np.allclose(apply_laplacian(g, u), lap @ u, atol=1e-12 * n)
+            assert np.allclose(g.apply(u), lap @ u, atol=1e-12 * n)
 
     def test_symmetry_and_psd(self):
         g = build_graph(sample_cloud(UNIFORM, 120, 1, 21), 0.1)
         rng = make_rng(22)
         for _ in range(100):
             u, w = rng.standard_normal(120), rng.standard_normal(120)
-            lu, lw = apply_laplacian(g, u), apply_laplacian(g, w)
+            lu, lw = g.apply(u), g.apply(w)
             a, b = inner_mu_n(lu, w), inner_mu_n(u, lw)
             assert a == pytest.approx(b, rel=1e-11, abs=1e-11)
             assert inner_mu_n(lu, u) >= -1e-10 * l2_mu_n(u) ** 2
@@ -216,7 +210,7 @@ class TestPolyLaplacian:
     def test_s1_matches_single_apply(self):
         g = build_graph(sample_cloud(UNIFORM, 80, 1, 2), 0.2)
         u = make_rng(5).standard_normal(80)
-        assert np.array_equal(apply_poly_laplacian(g, u, 1), apply_laplacian(g, u))
+        assert np.array_equal(apply_poly_laplacian(g, u, 1), g.apply(u))
 
     def test_two_point_square(self):
         out = apply_poly_laplacian(two_point_graph(), np.array([1.0, 0.0]), 2)
@@ -253,7 +247,7 @@ class TestDirichletEnergy:
         g = build_graph(sample_cloud(UNIFORM, 120, 1, 19), 0.15)
         u = make_rng(20).standard_normal(120)
         assert dirichlet_energy(g, u, 2) == pytest.approx(
-            l2_mu_n(apply_laplacian(g, u)) ** 2, rel=1e-12
+            l2_mu_n(g.apply(u)) ** 2, rel=1e-12
         )
 
     def test_nonnegative(self):
@@ -309,7 +303,7 @@ class TestDenseSpectrum:
     @pytest.mark.parametrize("eps", [0.03, 0.2, 0.5])
     def test_interval_matches_explicit(self, eps):
         cloud = sample_cloud(UNIFORM, 200, 1, 45)
-        vals, _ = dense_spectrum(IntervalLaplacian(cloud.points[:, 0], eps))
+        vals, _ = dense_spectrum(IntervalLaplacian(cloud[:, 0], eps))
         ref, _ = dense_spectrum(build_graph(cloud, eps))
         assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -335,15 +329,15 @@ class TestIntervalLaplacian:
         n = 300
         cloud = sample_cloud(UNIFORM, n, 1, 61)
         g = build_graph(cloud, eps, INDICATOR)
-        order = np.argsort(cloud.points[:, 0])
-        il = IntervalLaplacian(cloud.points[:, 0], eps)
+        order = np.argsort(cloud[:, 0])
+        il = IntervalLaplacian(cloud[:, 0], eps)
         u = make_rng(62).standard_normal(n)
         assert np.allclose(il.apply(u[order]), g.apply(u)[order], atol=1e-9)
         assert np.allclose(il.degrees, g.degrees[order], atol=1e-9)
         assert np.array_equal(il.neighbor_counts(), g.neighbor_counts()[order])
 
     def test_constant_nullspace(self):
-        il = IntervalLaplacian(sample_cloud(UNIFORM, 500, 1, 63).points[:, 0], 0.1)
+        il = IntervalLaplacian(sample_cloud(UNIFORM, 500, 1, 63)[:, 0], 0.1)
         assert np.max(np.abs(il.apply(np.ones(500)))) < 1e-10
 
     def test_validation(self):
@@ -435,7 +429,7 @@ MEMORY_SLACK = 32 * BLOCK
 def large_interval():
     """A 10^7-point d=1 operator and a signal with a constant mode, so the
     prefix sums grow to about n."""
-    op = IntervalLaplacian(sample_cloud(UNIFORM, 10_000_000, 1, 90).points[:, 0], 0.01)
+    op = IntervalLaplacian(sample_cloud(UNIFORM, 10_000_000, 1, 90)[:, 0], 0.01)
     return op, 1.0 + np.sin(2 * np.pi * op.x)
 
 
@@ -484,7 +478,7 @@ class TestIntervalApplyBitwise:
     @pytest.mark.parametrize("eps", [0.003, 0.05, 0.2, 0.45, 0.5])
     @pytest.mark.parametrize("n", [1, 7, 1000, N_BLOCKS])
     def test_matches_reference(self, n, eps):
-        x = sample_cloud(UNIFORM, n, 1, 70 + n).points[:, 0]
+        x = sample_cloud(UNIFORM, n, 1, 70 + n)[:, 0]
         rng = make_rng(71, n)
         signals = (rng.standard_normal(n), np.ones(n), np.zeros(n), rng.random(n) - 0.5)
         il, ref = assert_matches_reference(x, eps, signals)
@@ -561,7 +555,7 @@ class TestIntervalApplyBitwise:
         # 20 B/pt, u, the prefix sums and the result, plus block-sized work
         # arrays (in all, 44 B/pt and about 16 * BLOCK bytes)
         n = 1_000_000
-        x = sample_cloud(UNIFORM, n, 1, 77).points[:, 0]
+        x = sample_cloud(UNIFORM, n, 1, 77)[:, 0]
 
         def init_and_apply():
             op = IntervalLaplacian(x, 0.05)
@@ -591,6 +585,6 @@ class TestIntervalApplyBitwise:
     def test_input_not_modified(self):
         u = make_rng(73).standard_normal(200)
         keep = u.copy()
-        IntervalLaplacian(sample_cloud(UNIFORM, 200, 1, 74).points[:, 0], 0.1).apply(u)
+        IntervalLaplacian(sample_cloud(UNIFORM, 200, 1, 74)[:, 0], 0.1).apply(u)
         assert np.array_equal(u, keep)
 

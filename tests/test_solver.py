@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polylap.geometry import UNIFORM, PointCloud, make_rng, sample_cloud
+from polylap.geometry import UNIFORM, make_rng, sample_cloud
 from polylap.graph import (
     IntervalLaplacian,
     apply_poly_laplacian,
@@ -18,15 +18,13 @@ from polylap.solver import (
     SolverError,
     ansatz_signal,
     check_residual,
-    resolvent_problem,
     solve_resolvent,
     solve_resolvent_dense,
 )
 
 
 def two_point_graph():
-    cloud = PointCloud(np.array([[0.0], [0.1]]), UNIFORM, 0)
-    return build_graph(cloud, 0.2)
+    return build_graph(np.array([[0.0], [0.1]]), 0.2)
 
 
 def random_graph(n, d, seed, eps=0.2):
@@ -46,17 +44,17 @@ class TestResolventProblem:
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_non_finite_tau(self, tau):
         with pytest.raises(ValueError, match="finite"):
-            resolvent_problem(two_point_graph(), [1.0, 0.0], tau)
+            ResolventProblem(two_point_graph(), [1.0, 0.0], tau)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_labels(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            resolvent_problem(two_point_graph(), [1.0, bad], 0.1)
+            ResolventProblem(two_point_graph(), [1.0, bad], 0.1)
 
     def test_fractional_s_passes_through(self):
         g = random_graph(40, 1, 27)
         y = make_rng(28).standard_normal(40)
-        p = resolvent_problem(g, y, 0.01, 1.5)
+        p = ResolventProblem(g, y, 0.01, 1.5)
         assert p.s == 1.5
         with pytest.raises(ValueError, match="integer s"):
             solve_resolvent(p)
@@ -70,19 +68,19 @@ class TestSolveResolvent:
     def test_tau_zero_identity(self):
         g = random_graph(50, 1, 1)
         y = make_rng(2).standard_normal(50)
-        report = solve_resolvent(resolvent_problem(g, y, 0.0))
+        report = solve_resolvent(ResolventProblem(g, y, 0.0))
         assert np.array_equal(report.solution, y)
         assert report.iterations == 0
 
     def test_constant_labels_fixed_point(self):
         g = random_graph(80, 1, 3)
         y = np.full(80, 1.7)
-        report = solve_resolvent(resolvent_problem(g, y, 0.5, 2))
+        report = solve_resolvent(ResolventProblem(g, y, 0.5, 2))
         assert np.allclose(report.solution, y, atol=1e-8)
 
     def test_two_point_hand_solve(self):
         # A = I + 0.01 * [[125,-125],[-125,125]] = [[2.25,-1.25],[-1.25,2.25]]
-        report = solve_resolvent(resolvent_problem(two_point_graph(), [1.0, 0.0], 0.01))
+        report = solve_resolvent(ResolventProblem(two_point_graph(), [1.0, 0.0], 0.01))
         assert report.solution == pytest.approx([9.0 / 14.0, 5.0 / 14.0], abs=1e-10)
         assert report.final_relative_residual <= 1e-10
 
@@ -93,7 +91,7 @@ class TestSolveResolvent:
         g = random_graph(150, 1, 5, eps=0.1)
         y = make_rng(6).standard_normal(150)
         tau, s = 0.05, 1
-        report = solve_resolvent(resolvent_problem(g, y, tau, s))
+        report = solve_resolvent(ResolventProblem(g, y, tau, s))
         energies = np.array(report.energy_history)
         assert len(energies) == len(report.residual_history)
         assert np.all(np.diff(energies) <= 1e-13)
@@ -110,9 +108,9 @@ class TestSolveResolvent:
         y = make_rng(8).standard_normal(120)
         tol = 1e-10
         for s, tau in [(1, 0.1), (2, 0.01)]:
-            a = solve_resolvent(resolvent_problem(g, y, tau, s), tol=tol)
+            a = solve_resolvent(ResolventProblem(g, y, tau, s), tol=tol)
             b = solve_resolvent(
-                resolvent_problem(g, y, tau, s), tol=tol, preconditioner="None"
+                ResolventProblem(g, y, tau, s), tol=tol, preconditioner="None"
             )
             assert l2_mu_n(a.solution - b.solution) <= 2 * tol
 
@@ -122,7 +120,7 @@ class TestSolveResolvent:
             g = random_graph(int(rng.integers(20, 80)), 1, 1000 + k)
             y = rng.standard_normal(g.n)
             for s, tau in [(1, 0.0), (1, 0.01), (2, 1.0), (3, 100.0)]:
-                u = solve_resolvent(resolvent_problem(g, y, tau, s)).solution
+                u = solve_resolvent(ResolventProblem(g, y, tau, s)).solution
                 assert l2_mu_n(u) <= l2_mu_n(y) * (1 + 1e-10)
 
     def test_energy_first_order_optimality(self):
@@ -133,7 +131,7 @@ class TestSolveResolvent:
         def energy(u):
             return l2_mu_n(u - y) ** 2 + tau * dirichlet_energy(g, u, s)
 
-        u = solve_resolvent(resolvent_problem(g, y, tau, s)).solution
+        u = solve_resolvent(ResolventProblem(g, y, tau, s)).solution
         e0 = energy(u)
         rng = make_rng(13)
         for _ in range(50):
@@ -145,7 +143,7 @@ class TestSolveResolvent:
         g = random_graph(100, 1, 15, eps=0.05)
         y = make_rng(16).standard_normal(100)
         with pytest.raises(SolverError) as exc:
-            solve_resolvent(resolvent_problem(g, y, 10.0, 2), max_iters=2)
+            solve_resolvent(ResolventProblem(g, y, 10.0, 2), max_iters=2)
         report = exc.value.report
         assert report.iterations == 2
         assert report.solution.shape == (100,)
@@ -158,7 +156,7 @@ class TestSolveResolvent:
         # matches it); check_residual raises with the report attached
         g = random_graph(400, 2, 3001, eps=0.1)
         y = make_rng(3010).standard_normal(g.n)
-        p = resolvent_problem(g, y, 200.0, 2)
+        p = ResolventProblem(g, y, 200.0, 2)
         report = solve_resolvent(p)
         assert report.residual_history[-1] <= DEFAULT_TOL < report.final_relative_residual
         au = 200.0 * apply_poly_laplacian(g, report.solution, 2) + report.solution
@@ -169,12 +167,12 @@ class TestSolveResolvent:
         assert exc.value.report is report
         assert check_residual(report, tol=1e-7) is report
         # a solve that meets tol passes through
-        met = solve_resolvent(resolvent_problem(g, y - y.mean(), 200.0, 2))
+        met = solve_resolvent(ResolventProblem(g, y - y.mean(), 200.0, 2))
         assert check_residual(met) is met
 
     def test_validation(self):
         g = two_point_graph()
-        p = resolvent_problem(g, [1.0, 0.0], 0.1)
+        p = ResolventProblem(g, [1.0, 0.0], 0.1)
         with pytest.raises(ValueError):
             solve_resolvent(p, tol=0.0)
         for tol in (np.nan, np.inf):
@@ -216,12 +214,12 @@ class TestRealPCGBitwise:
     def test_matches_reference_loop(self, preconditioner):
         ops = [
             random_graph(150, 2, 3101, eps=0.2),
-            IntervalLaplacian(sample_cloud(UNIFORM, 300, 1, 3102).points[:, 0], 0.1),
+            IntervalLaplacian(sample_cloud(UNIFORM, 300, 1, 3102)[:, 0], 0.1),
         ]
         for k, op in enumerate(ops):
             y = make_rng(3103 + k).standard_normal(op.n)
             for s, tau in [(1, 0.05), (3, 1e-4)]:
-                p = resolvent_problem(op, y, tau, s)
+                p = ResolventProblem(op, y, tau, s)
                 u, history = pcg_reference(p, 1e-10, preconditioner)
                 report = solve_resolvent(p, tol=1e-10, preconditioner=preconditioner)
                 assert np.array_equal(report.solution.view(np.int64), u.view(np.int64))
@@ -237,7 +235,7 @@ class TestShiftedPairCG:
     def stiff_cases():
         # tau / eps^4 >= 1e6 on both operator forms
         g = random_graph(400, 2, 3001, eps=0.1)
-        op = IntervalLaplacian(sample_cloud(UNIFORM, 450, 1, 3002).points[:, 0], 0.05)
+        op = IntervalLaplacian(sample_cloud(UNIFORM, 450, 1, 3002)[:, 0], 0.05)
         return [(g, 200.0), (op, 10.0)]
 
     @staticmethod
@@ -258,7 +256,7 @@ class TestShiftedPairCG:
         for k, (op, tau) in enumerate(self.stiff_cases()):
             assert tau / op.eps**4 >= 1e6
             y = self.labels(op.n, 3010 + k)
-            p = resolvent_problem(op, y, tau, 2)
+            p = ResolventProblem(op, y, tau, 2)
             report = solve_resolvent(p, tol=self.TOL)
             assert report.solution.dtype == np.float64
             assert l2_mu_n(report.solution - solve_resolvent_dense(p)) < 1e-8
@@ -270,7 +268,7 @@ class TestShiftedPairCG:
     def test_history_bounds_the_real_residual(self):
         op, tau = self.stiff_cases()[0]
         y = self.labels(op.n, 3020)
-        p = resolvent_problem(op, y, tau, 2)
+        p = ResolventProblem(op, y, tau, 2)
         for k in (1, 2, 5, 20, 60):
             with pytest.raises(SolverError) as exc:
                 solve_resolvent(p, tol=self.TOL, max_iters=k)
@@ -283,7 +281,7 @@ class TestShiftedPairCG:
         op, tau = self.stiff_cases()[1]
         y = self.labels(op.n, 3030)
         with pytest.raises(SolverError) as exc:
-            solve_resolvent(resolvent_problem(op, y, tau, 2), max_iters=3)
+            solve_resolvent(ResolventProblem(op, y, tau, 2), max_iters=3)
         u = exc.value.report.solution
         assert u.dtype == np.float64 and u.shape == (op.n,)
         assert u.flags.c_contiguous
@@ -291,7 +289,7 @@ class TestShiftedPairCG:
     def test_without_preconditioner(self):
         for k, (op, tau) in enumerate(self.stiff_cases()):
             y = self.labels(op.n, 3040 + k)
-            p = resolvent_problem(op, y, tau, 2)
+            p = ResolventProblem(op, y, tau, 2)
             report = solve_resolvent(p, tol=self.TOL, preconditioner="None")
             assert report.preconditioner == "None"
             assert report.final_relative_residual <= self.TOL
@@ -308,22 +306,22 @@ class TestDenseOracle:
             g = random_graph(n, d, 2000 + k, eps=0.25)
             y = rng.standard_normal(n)
             s, tau = cases[k % len(cases)]
-            p = resolvent_problem(g, y, tau, s)
+            p = ResolventProblem(g, y, tau, s)
             u_cg = solve_resolvent(p).solution
             u_dense = solve_resolvent_dense(p)
             assert l2_mu_n(u_cg - u_dense) < 1e-8, (k, n, d, s, tau)
 
     def test_matches_cg_on_interval_laplacian(self):
-        op = IntervalLaplacian(sample_cloud(UNIFORM, 200, 1, 2100).points[:, 0], 0.15)
+        op = IntervalLaplacian(sample_cloud(UNIFORM, 200, 1, 2100)[:, 0], 0.15)
         y = make_rng(2101).standard_normal(op.n)
         for s, tau in [(1, 0.01), (2, 1.0), (3, 100.0)]:
-            p = resolvent_problem(op, y, tau, s)
+            p = ResolventProblem(op, y, tau, s)
             assert l2_mu_n(solve_resolvent(p).solution - solve_resolvent_dense(p)) < 1e-8
 
     def test_tau_zero(self):
         g = random_graph(40, 1, 23)
         y = make_rng(24).standard_normal(40)
-        assert np.allclose(solve_resolvent_dense(resolvent_problem(g, y, 0.0)), y, atol=1e-9)
+        assert np.allclose(solve_resolvent_dense(ResolventProblem(g, y, 0.0)), y, atol=1e-9)
 
     def test_s_zero_scalar_resolvent(self):
         g = random_graph(40, 1, 25)
@@ -355,8 +353,7 @@ class TestAnsatz:
         assert np.array_equal(ansatz_signal(g, xi, 0.0), xi)
 
     def test_isolated_node_passthrough(self):
-        cloud = PointCloud(np.array([[0.0], [0.5]]), UNIFORM, 0)
-        g = build_graph(cloud, 0.1)
+        g = build_graph(np.array([[0.0], [0.5]]), 0.1)
         xi = np.array([2.0, -3.0])
         assert np.array_equal(ansatz_signal(g, xi, 5.0), xi)
 
