@@ -105,18 +105,9 @@ def _collect_params(args, extras):
         params["out"] = args.out
     if args.seed is not None:
         params["seed"] = str(args.seed)
-    return params
-
-
-def _resolve_threads(args, params):
     if args.threads is not None:
-        return args.threads
-    if "threads" in params:
-        return int(params["threads"])
-    env = os.environ.get("POLYLAP_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+        params["threads"] = str(args.threads)
+    return params
 
 
 def _outdir(params):
@@ -133,7 +124,7 @@ def _echo_config(out, params):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -144,6 +135,8 @@ def _load_points_csv(path, d):
         if len(header) != d + 1:
             raise ValidationError(f"expected {d + 1} columns in {path!r}")
         for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
             vals = line.strip().split(",")
             if len(vals) != d + 1:
                 raise ValidationError(f"{path}:{lineno}: expected {d + 1} fields")
@@ -164,7 +157,7 @@ def _load_points_csv(path, d):
     return points, np.array(labels)
 
 
-def cmd_denoise(params, threads, dry_run):
+def cmd_denoise(params, dry_run):
     d = int(params.get("d", "1"))
     s = int(params.get("s", "1"))
     eps = float(params["eps"])
@@ -210,7 +203,7 @@ def cmd_denoise(params, threads, dry_run):
     }
 
 
-def cmd_sweep(params, threads, dry_run):
+def cmd_sweep(params, dry_run):
     d = int(params.get("d", "1"))
     s = int(params.get("s", "1"))
     n_grid = tuple(int(v) for v in params.get(
@@ -223,6 +216,11 @@ def cmd_sweep(params, threads, dry_run):
     trials = int(params.get("trials", "10"))
     seed = int(params.get("seed", "0"))
     tol_kw = _given(params, float, "tol")
+    # worker processes: --threads, the config key, POLYLAP_THREADS, the CPU
+    # count, in that order, and never more than the CPU count
+    cpus = os.cpu_count() or 1
+    threads = params.get("threads") or os.environ.get("POLYLAP_THREADS") or cpus
+    workers = min(int(threads), cpus)
     resolved = {
         "command": "sweep", "d": d, "s": s, "n_grid": list(n_grid),
         "eps": [schedule.eps_of(n) for n in n_grid],
@@ -232,7 +230,6 @@ def cmd_sweep(params, threads, dry_run):
     if dry_run:
         return resolved
 
-    workers = min(threads, os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
             result = xp.rate_sweep(schedule, g, noise, trials, seed, map_fn=pool.map, **tol_kw)
@@ -253,7 +250,7 @@ def cmd_sweep(params, threads, dry_run):
     }
 
 
-def cmd_consistency(params, threads, dry_run):
+def cmd_consistency(params, dry_run):
     d = int(params.get("d", "1"))
     s = int(params.get("s", "1"))
     u = parse_modes(params.get("modes", "1:0.0:1.0"), d)
@@ -276,7 +273,7 @@ def cmd_consistency(params, threads, dry_run):
     return {"slope": result.slope, "stderr": result.slope_stderr, "config": resolved}
 
 
-def cmd_degrees(params, threads, dry_run):
+def cmd_degrees(params, dry_run):
     n = int(params.get("n", "10000"))
     d = int(params.get("d", "1"))
     eps = float(params.get("eps", "0.05"))
@@ -292,7 +289,7 @@ def cmd_degrees(params, threads, dry_run):
     return {**asdict(summary), "config": resolved}
 
 
-def cmd_spectrum(params, threads, dry_run):
+def cmd_spectrum(params, dry_run):
     d = int(params.get("d", "1"))
     eps = float(params["eps"])
     seed = int(params.get("seed", "0"))
@@ -330,20 +327,25 @@ def main(argv=None):
     parser.add_argument("--config", help="INI config file with one section per command")
     parser.add_argument("--out", help="output directory (default: 'out')")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
+    parser.add_argument("--threads", type=int,
+                        help="sweep worker processes (default: POLYLAP_THREADS or CPU count)")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate and print the resolved parameters only")
     args, extras = parser.parse_known_args(argv)
 
     try:
         params = _collect_params(args, extras)
-        threads = _resolve_threads(args, params)
-        result = COMMANDS[args.command](params, threads, args.dry_run)
+        result = COMMANDS[args.command](params, args.dry_run)
+        # NaN and Infinity are not JSON: write an undefined value as null
+        result = json.loads(json.dumps(result), parse_constant=lambda _: None)
         if not args.dry_run:
             out = _outdir(params)
             _write_json(os.path.join(out, "summary.json"), result)
             _echo_config(out, params)
-    except (ValidationError, KeyError, ValueError, MemoryError) as err:
+    except KeyError as err:  # a required key that no config or flag set
+        print(f"validation error: missing parameter {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (ValidationError, ValueError, MemoryError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as err:
@@ -354,10 +356,10 @@ def main(argv=None):
         return EXIT_IO
 
     if args.dry_run:
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(json.dumps(result, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(json.dumps({k: v for k, v in result.items() if k != "config"},
-                         indent=2, sort_keys=True, default=str))
+                         indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

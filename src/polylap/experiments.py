@@ -317,16 +317,9 @@ def rate_sweep(
     ]
     records = list(map_fn(run_trial, configs))
 
-    medians = []
-    for n in schedule.n_grid:
-        errs = [r.total_err for r in records if r.n == n and not r.failed]
-        if errs:
-            medians.append((n, float(np.median(errs))))
-    log_n = [math.log(n) for n, _ in medians]
-    log_rate = [math.log(math.log(n) / n) for n, _ in medians]
-    log_err = [math.log(e) for _, e in medians]
-    slope_n, se_n = _ols_slope(log_n, log_err)
-    slope_r, se_r = _ols_slope(log_rate, log_err)
+    errs = [(r.n, r.total_err) for r in records if not r.failed]
+    slope_n, se_n = _median_slope(schedule.n_grid, errs, math.log)
+    slope_r, se_r = _median_slope(schedule.n_grid, errs, lambda n: math.log(math.log(n) / n))
     return SweepResult(
         records=records,
         slope_vs_n=slope_n,
@@ -339,9 +332,11 @@ def rate_sweep(
 
 
 def default_n_rule(k_mult: float, d: int, s: int):
-    """n(eps) = ceil(k_mult * log(1/eps) / eps^(d+4s))."""
+    """n(eps) = ceil(k_mult * log(1/eps) / eps^(d+4s)), for eps in (0, 1/2]."""
 
     def rule(eps):
+        if not 0.0 < eps <= 0.5:
+            raise ValueError(f"eps={eps} must lie in (0, 1/2]")
         return int(math.ceil(k_mult * math.log(1.0 / eps) / eps ** (d + 4 * s)))
 
     return rule
@@ -383,13 +378,19 @@ def _nonlocal_multipliers(u: FourierFunction, eps, s):
     }
 
 
-def _median_slope(eps_grid, eps_values):
-    """Log-log OLS slope of the per-eps medians of (eps, value) pairs; NaN
-    for a degenerate sweep (single eps or exactly-zero errors)."""
-    med = [float(np.median([v for e, v in eps_values if e == float(eps)])) for eps in eps_grid]
-    if all(v > 0.0 for v in med):
-        return _ols_slope([math.log(e) for e in eps_grid], [math.log(v) for v in med])
-    return float("nan"), float("nan")
+def _median_slope(grid, pairs, x_of):
+    """OLS slope and stderr of log(median value) against x_of(key) over the
+    grid keys that have (key, value) pairs; NaN for a degenerate fit (fewer
+    than two keys left, or a median that is not positive)."""
+    xs, medians = [], []
+    for key in grid:
+        values = [v for k, v in pairs if k == key]
+        if values:
+            xs.append(x_of(key))
+            medians.append(float(np.median(values)))
+    if not all(m > 0.0 for m in medians):
+        return float("nan"), float("nan")
+    return _ols_slope(xs, [math.log(m) for m in medians])
 
 
 def consistency_sweep(
@@ -412,6 +413,8 @@ def consistency_sweep(
     quadrature of nonlocal_laplacian limits the accuracy of Delta_eps^s u
     (see there).
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     d = u.d
     sigma = sigma_eta(INDICATOR, d)
     ref = continuum_laplacian_uniform(u, sigma, s)
@@ -450,9 +453,9 @@ def consistency_sweep(
                     consistency_err=err, solver_iterations=0, solver_residual=0.0,
                 )
             )
-    slope, se = _median_slope(eps_grid, [(r.eps, r.consistency_err) for r in records])
+    slope, se = _median_slope(eps_grid, [(r.eps, r.consistency_err) for r in records], math.log)
     st_slope, st_se = _median_slope(
-        eps_grid, [(r.eps, v) for r, v in zip(records, stochastic)]
+        eps_grid, [(r.eps, v) for r, v in zip(records, stochastic)], math.log
     )
     return ConsistencyResult(records, slope, se, stochastic, nonlocal_bias, st_slope, st_se)
 
@@ -487,6 +490,8 @@ def degree_concentration_check(
     """
     if n * eps**d < 1.0:
         raise ValueError("need n * eps^d >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     lo, hi, cnt = math.inf, -math.inf, 0
     for t in range(trials):
         points = sample_cloud(density, n, d, derive_seed(base_seed, t))
@@ -509,6 +514,8 @@ def ansatz_norm_sweep(
 ):
     """Median of ||w_tilde|| * tau / eps^(2s) per eps; bounded spread checks
     the degree-only response estimate."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     out = []
     for i, eps in enumerate(eps_grid):
         vals = []

@@ -55,9 +55,6 @@ class KernelProfile:
         out = np.clip(2.0 * (1.0 - t), 0.0, 1.0)
         return np.where(t < 1.0, out, 0.0)
 
-    def __call__(self, t):
-        return self.eval(t)
-
 
 INDICATOR = KernelProfile("indicator")
 PLATEAU = KernelProfile("plateau")

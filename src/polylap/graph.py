@@ -147,8 +147,8 @@ def dirichlet_energy(graph, u, s: int = 1) -> float:
     """<Delta^s u, u> in L2(mu_n), split symmetrically for numerical hygiene."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    hi = apply_poly_laplacian(graph, u, (s + 1) // 2)
     lo = apply_poly_laplacian(graph, u, s // 2)
+    hi = graph.apply(lo) if s % 2 else lo  # Delta^ceil(s/2) u
     return inner_mu_n(hi, lo)
 
 

@@ -58,7 +58,6 @@ class SolveReport:
     solution: np.ndarray
     iterations: int
     final_relative_residual: float
-    preconditioner: str
     # relative residual per iterate; for s = 2 the certified bound
     # (1 + sqrt(tau) ||Delta||) ||r|| / ||y|| on the real residual
     residual_history: list = field(default_factory=list)
@@ -123,7 +122,8 @@ def _shifted_pair_operator(graph, sigma):
 
 
 def _cg(apply_a, diag, y, y_norm, bound, tol, max_iters, dtype):
-    """CG from zero on A x = y, preconditioned by the diagonal `diag` (None: none).
+    """Jacobi-preconditioned CG from zero on A x = y: z = r / diag, with diag
+    the real degree-only diagonal of _shifted_diagonal, applied every step.
 
     For real symmetric positive definite A this is PCG.  For complex
     symmetric A it is COCG: the same recurrences, with the unconjugated
@@ -137,7 +137,7 @@ def _cg(apply_a, diag, y, y_norm, bound, tol, max_iters, dtype):
     real = dtype is float
     x = np.zeros(n, dtype)
     r = y.astype(dtype)
-    z = r if diag is None else np.divide(r, diag)
+    z = np.divide(r, diag)
     d = z.copy()
     tmp = np.empty(n, dtype)
     rz = r @ z
@@ -175,8 +175,7 @@ def _cg(apply_a, diag, y, y_norm, bound, tol, max_iters, dtype):
         history.append(bound * norm(r) / y_norm)
         if history[-1] <= tol:
             return x, k, history, energies, None
-        if diag is not None:
-            np.divide(r, diag, out=z)
+        np.divide(r, diag, out=z)
         rz_new = r @ z
         d *= rz_new / rz
         d += z
@@ -190,7 +189,6 @@ def solve_resolvent(
     p: ResolventProblem,
     tol: float = DEFAULT_TOL,
     max_iters: int | None = None,
-    preconditioner: str = "DiagonalAnsatz",
 ) -> SolveReport:
     """Preconditioned CG from a zero initial guess (COCG for s = 2).
 
@@ -205,8 +203,6 @@ def solve_resolvent(
         raise ValueError("tol must be positive and finite")
     if p.s != int(p.s) or p.s < 1:
         raise ValueError("CG path requires integer s >= 1; use the dense oracle")
-    if preconditioner not in ("None", "DiagonalAnsatz"):
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
     graph, s, n = p.graph, int(p.s), p.graph.n
     if max_iters is None:
         max_iters = 10 * n
@@ -215,10 +211,9 @@ def solve_resolvent(
     if p.tau == 0.0 or y_norm == 0.0:
         u = y.copy()
         energy = -0.5 * float(y @ y) / n
-        return SolveReport(u, 0, 0.0, preconditioner, [0.0], [energy])
+        return SolveReport(u, 0, 0.0, [0.0], [energy])
 
     apply_a = _operator(graph, p.tau, s)
-    precondition = preconditioner == "DiagonalAnsatz"
     if s == 2:
         # (I + tau Delta^2)^-1 y = Re (I + i sigma Delta)^-1 y with sigma =
         # sqrt(tau).  The real residual of u = Re z is Re r + sigma Delta Im r,
@@ -226,24 +221,20 @@ def solve_resolvent(
         # ||Delta|| <= 4 max D / (n eps^2)
         sigma = float(np.sqrt(p.tau))
         lam_max = 4.0 * float(graph.degrees.max()) / (n * graph.eps**2)
-        diag = _shifted_diagonal(graph, sigma, 1) if precondition else None
         x, k, history, energies, failure = _cg(
-            _shifted_pair_operator(graph, sigma), diag,
+            _shifted_pair_operator(graph, sigma), _shifted_diagonal(graph, sigma, 1),
             y, y_norm, 1.0 + sigma * lam_max, tol, max_iters, complex,
         )
         u = x.real.copy()
     else:
-        diag = _shifted_diagonal(graph, p.tau, s) if precondition else None
         u, k, history, energies, failure = _cg(
-            apply_a, diag, y, y_norm, 1.0, tol, max_iters, float
+            apply_a, _shifted_diagonal(graph, p.tau, s), y, y_norm, 1.0, tol, max_iters, float
         )
     if failure is not None:
-        raise SolverError(
-            failure, SolveReport(u, k, history[-1], preconditioner, history, energies)
-        )
+        raise SolverError(failure, SolveReport(u, k, history[-1], history, energies))
     # recompute the true residual; the recurrence can drift slightly
     final = l2_mu_n(apply_a(u) - y) / y_norm
-    return SolveReport(u, k, final, preconditioner, history, energies)
+    return SolveReport(u, k, final, history, energies)
 
 
 def check_residual(report: SolveReport, tol: float = DEFAULT_TOL) -> SolveReport:

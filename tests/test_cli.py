@@ -90,6 +90,16 @@ class TestDenoise:
         assert code == 1
         assert ":3:" in capsys.readouterr().err
 
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        csv = tmp_path / "in.csv"
+        csv.write_text("x1,y\n0.1,1.0\n\n0.2,0.5\n0.4,0.0\n\n")
+        out = tmp_path / "out"
+        assert run_cli("denoise", "--eps=0.2", f"--input-csv={csv}", "--out", str(out)) == 0
+        assert len((out / "records.csv").read_text().splitlines()) == 4
+        csv.write_text("x1,y\n0.1,1.0\n\n0.2,oops\n")
+        assert run_cli("denoise", "--eps=0.2", f"--input-csv={csv}") == 1
+        assert ":4:" in capsys.readouterr().err  # the file's line, blank ones counted
+
     def test_eps_validation(self, capsys):
         assert run_cli("denoise", "--eps=0.7", "--n=10", "--modes=1:1.0:0.0") == 1
 
@@ -237,6 +247,40 @@ class TestOtherCommands:
         refuse("build_graph")
         assert run_cli("degrees", "--kernel=plateau", "--n=100000", "--eps=0.05") == 1
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["consistency", "--trials=0", "--eps_grid=0.3,0.2", "--k_mult=0.5"], "trials"),
+            (["degrees", "--trials=0"], "trials"),
+            (["consistency", "--eps_grid=0.3,0"], "eps=0.0"),
+            (["consistency", "--eps_grid=-0.1"], "eps=-0.1"),
+            (["consistency", "--eps_grid=0.6"], "eps=0.6"),
+            (["consistency", "--dry-run", "--eps_grid=0"], "eps=0.0"),
+        ],
+    )
+    def test_bad_trials_or_eps(self, tmp_path, capsys, argv, named):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, slopes",
+        [
+            (["sweep", "--n_grid=64", "--trials=1", "--threads=1"],
+             ["slope", "stderr", "slope_vs_n", "slope_vs_n_stderr"]),
+            (["consistency", "--eps_grid=0.3", "--trials=1", "--k_mult=0.5"],
+             ["slope", "stderr"]),
+        ],
+    )
+    def test_undefined_slopes_are_strict_json_null(self, tmp_path, capsys, argv, slopes):
+        def reject(name):
+            raise AssertionError(f"non-JSON constant {name}")
+
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        for text in ((tmp_path / "summary.json").read_text(), capsys.readouterr().out):
+            summary = json.loads(text, parse_constant=reject)
+            assert all(summary[key] is None for key in slopes)
+
     def test_consistency_constant_modes(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
@@ -303,8 +347,9 @@ class TestRecordsBytes:
 
 
 class TestExitCodes:
-    def test_missing_required_key(self):
+    def test_missing_required_key(self, capsys):
         assert run_cli("denoise") == 1  # no eps anywhere
+        assert "missing parameter 'eps'" in capsys.readouterr().err
 
     def test_bad_override_format(self):
         assert run_cli("denoise", "--eps", "0.2", "oops") == 1
@@ -391,20 +436,60 @@ class TestExitCodes:
         assert proc.returncode == 0
 
 
+def fake_pool(monkeypatch, cpus):
+    """Sizes of the pools the CLI opens, with os.cpu_count() = cpus; the
+    fake pool maps in this process."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+SMALL_SWEEP = ["sweep", "--n-grid=256,512", "--trials=1", "--modes=1:1.0:0.0"]
+
+
 class TestThreads:
-    def test_env_fallback(self, monkeypatch):
-        import argparse
-
+    def test_env_fallback(self, tmp_path, monkeypatch):
+        sizes = fake_pool(monkeypatch, 8)
         monkeypatch.setenv("POLYLAP_THREADS", "3")
-        ns = argparse.Namespace(threads=None)
-        assert cli._resolve_threads(ns, {}) == 3
+        assert run_cli(*SMALL_SWEEP, "--out", str(tmp_path)) == 0
+        assert sizes == [3]
 
-    def test_flag_wins(self, monkeypatch):
-        import argparse
-
+    def test_flag_wins(self, tmp_path, monkeypatch):
+        # the flag over the config key over POLYLAP_THREADS
+        sizes = fake_pool(monkeypatch, 8)
         monkeypatch.setenv("POLYLAP_THREADS", "3")
-        ns = argparse.Namespace(threads=2)
-        assert cli._resolve_threads(ns, {"threads": "5"}) == 2
+        config = tmp_path / "run.ini"
+        config.write_text("[sweep]\nthreads = 5\n")
+        out = tmp_path / "out"
+        args = [*SMALL_SWEEP, "--config", str(config), "--out", str(out)]
+        assert run_cli(*args) == 0
+        assert run_cli(*args, "--threads=2") == 0
+        assert sizes == [5, 2]
+        assert "threads=2\n" in (out / "config.echo").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["denoise", "--n=50", "--eps=0.2", "--modes=1:1:0"],
+        ["spectrum", "--n=50", "--eps=0.2"],
+    ])
+    def test_env_read_by_sweep_only(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("POLYLAP_THREADS", "abc")
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        assert run_cli(*SMALL_SWEEP, "--dry-run") == 1
 
     def test_sweep_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--n-grid=256,512", "--trials=2", "--modes=1:1.0:0.0"]
@@ -418,23 +503,6 @@ class TestThreads:
         [(64, 4, [4]), (2, 4, [2]), (64, None, [])],
     )
     def test_pool_clamped_to_cpu_count(self, tmp_path, monkeypatch, threads, cpus, pool_sizes):
-        sizes = []
-
-        class FakePool:  # records its size and maps in this process
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(cli, "Pool", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        args = ["sweep", "--n-grid=256,512", "--trials=1", "--modes=1:1.0:0.0"]
-        assert run_cli(*args, "--out", str(tmp_path), f"--threads={threads}") == 0
+        sizes = fake_pool(monkeypatch, cpus)
+        assert run_cli(*SMALL_SWEEP, "--out", str(tmp_path), f"--threads={threads}") == 0
         assert sizes == pool_sizes

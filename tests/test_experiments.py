@@ -165,7 +165,7 @@ class TestRunTrial:
         # the s = 2 solve runs COCG on (I + i sqrt(tau) Delta); a trial must
         # record what the spectral oracle's solution would give
         def dense(p, tol):
-            return SolveReport(solve_resolvent_dense(p), 0, 0.0, "dense")
+            return SolveReport(solve_resolvent_dense(p), 0, 0.0)
 
         for k, tau in enumerate((1e-4, 1e-2, 1.0)):
             cfg = make_cfg(s=2, n=400, eps=0.1, tau=tau, trial=k)
@@ -235,6 +235,14 @@ class TestRateSweep:
                       res.slope_vs_rate_stderr):
             assert math.isnan(slope)
 
+    def test_median_slope_skips_empty_keys(self):
+        # a grid key whose trials all failed has no pairs: it is left out of
+        # the fit instead of reaching np.median([])
+        pairs = [(1, 1.0), (4, 3.0), (4, 4.0), (4, 5.0)]
+        slope, stderr = xp._median_slope((1, 2, 4), pairs, math.log)
+        assert (slope, stderr) == (1.0, 0.0)
+        assert all(math.isnan(v) for v in xp._median_slope((1, 2), [(1, 1.0)], math.log))
+
 
 class TestConsistencySweep:
     def test_constant_zero_error(self):
@@ -276,6 +284,16 @@ class TestConsistencySweep:
         assert math.isnan(res.slope) and math.isnan(res.stochastic_slope)
         assert math.isnan(res.stochastic_slope_stderr)
         assert len(res.stochastic_err) == len(res.records) == 2
+
+    def test_bad_trials(self):
+        u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
+        with pytest.raises(ValueError, match="trials"):
+            consistency_sweep(u, 1, [0.3, 0.2], lambda e: 200, 0, 0)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 0.6, float("nan")])
+    def test_n_rule_rejects_eps_outside_half_interval(self, eps):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\]"):
+            default_n_rule(40, 1, 1)(eps)
 
     def test_memory_cap(self):
         u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
@@ -329,6 +347,8 @@ class TestDegreeConcentration:
     def test_regime_validation(self):
         with pytest.raises(ValueError):
             degree_concentration_check(10, 2, 0.05, UNIFORM, INDICATOR, 1, 0)
+        with pytest.raises(ValueError, match="trials"):
+            degree_concentration_check(10_000, 1, 0.05, UNIFORM, INDICATOR, 0, 0)
 
     def test_d1_indicator_builds_no_explicit_graph(self, refuse):
         # the call of acceptance criterion 7
@@ -394,6 +414,10 @@ class TestAnsatzNormSweep:
         )
         vals = [v for _, v in out]
         assert max(vals) / min(vals) < 5.0
+
+    def test_bad_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            ansatz_norm_sweep([0.2], 200, 1, 0.1, 1, NoiseSpec("gaussian", 0.1), 0, 0)
 
 
 class TestRecordsCSV:

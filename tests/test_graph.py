@@ -262,6 +262,28 @@ class TestDirichletEnergy:
         with pytest.raises(ValueError):
             dirichlet_energy(two_point_graph(), np.zeros(2), 0)
 
+    def test_matches_two_sided_form_with_fewer_applies(self, monkeypatch):
+        # <Delta^ceil(s/2) u, Delta^floor(s/2) u> bitwise, from ceil(s/2)
+        # applies: the odd power is one more apply of the even one
+        ops = [
+            build_graph(sample_cloud(UNIFORM, 150, 2, 31), 0.2),
+            build_graph(sample_cloud(UNIFORM, 200, 3, 32), 0.3, PLATEAU),
+            IntervalLaplacian(sample_cloud(UNIFORM, 300, 1, 33)[:, 0], 0.1),
+        ]
+        calls = []
+        for cls in {type(op) for op in ops}:
+            monkeypatch.setattr(
+                cls, "apply", lambda self, v, f=cls.apply: calls.append(1) or f(self, v)
+            )
+        for k, op in enumerate(ops):
+            u = make_rng(34 + k).standard_normal(op.n)
+            for s in (1, 2, 3, 4):
+                hi = apply_poly_laplacian(op, u, (s + 1) // 2)
+                lo = apply_poly_laplacian(op, u, s // 2)
+                calls.clear()
+                assert dirichlet_energy(op, u, s) == inner_mu_n(hi, lo)
+                assert len(calls) == (s + 1) // 2
+
 
 class TestDenseSpectrum:
     def test_two_point_eigenvalues(self):

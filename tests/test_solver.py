@@ -103,17 +103,6 @@ class TestSolveResolvent:
         direct = 0.5 * inner_mu_n(au, u) - inner_mu_n(y, u)
         assert energies[-1] == pytest.approx(direct, rel=1e-8)
 
-    def test_preconditioned_matches_unpreconditioned(self):
-        g = random_graph(120, 1, 7, eps=0.15)
-        y = make_rng(8).standard_normal(120)
-        tol = 1e-10
-        for s, tau in [(1, 0.1), (2, 0.01)]:
-            a = solve_resolvent(ResolventProblem(g, y, tau, s), tol=tol)
-            b = solve_resolvent(
-                ResolventProblem(g, y, tau, s), tol=tol, preconditioner="None"
-            )
-            assert l2_mu_n(a.solution - b.solution) <= 2 * tol
-
     def test_non_expansive(self):
         rng = make_rng(9)
         for k in range(25):
@@ -179,19 +168,16 @@ class TestSolveResolvent:
             with pytest.raises(ValueError, match="finite"):
                 solve_resolvent(p, tol=tol)
         with pytest.raises(ValueError):
-            solve_resolvent(p, preconditioner="ILU")
-        with pytest.raises(ValueError):
             solve_resolvent(ResolventProblem(g, np.array([1.0, 0.0]), 0.1, 1.5))
 
 
-def pcg_reference(p, tol, preconditioner):
+def pcg_reference(p, tol):
     """The PCG loop as written before its passes went in place."""
     g, tau, s = p.graph, p.tau, int(p.s)
     diag = tau * (2.0 * g.degrees / (g.n * g.eps**2)) ** s + 1.0
-    apply_m = (lambda r: r / diag) if preconditioner == "DiagonalAnsatz" else (lambda r: r)
     y_norm = l2_mu_n(p.y)
     u, r = np.zeros(g.n), p.y.copy()
-    z = apply_m(r)
+    z = r / diag
     d = z.copy()
     rz = float(r @ z)
     history = [l2_mu_n(r) / y_norm]
@@ -203,15 +189,14 @@ def pcg_reference(p, tol, preconditioner):
         history.append(l2_mu_n(r) / y_norm)
         if history[-1] <= tol:
             return u, history
-        z = apply_m(r)
+        z = r / diag
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
         rz = rz_new
 
 
 class TestRealPCGBitwise:
-    @pytest.mark.parametrize("preconditioner", ["DiagonalAnsatz", "None"])
-    def test_matches_reference_loop(self, preconditioner):
+    def test_matches_reference_loop(self):
         ops = [
             random_graph(150, 2, 3101, eps=0.2),
             IntervalLaplacian(sample_cloud(UNIFORM, 300, 1, 3102)[:, 0], 0.1),
@@ -220,8 +205,8 @@ class TestRealPCGBitwise:
             y = make_rng(3103 + k).standard_normal(op.n)
             for s, tau in [(1, 0.05), (3, 1e-4)]:
                 p = ResolventProblem(op, y, tau, s)
-                u, history = pcg_reference(p, 1e-10, preconditioner)
-                report = solve_resolvent(p, tol=1e-10, preconditioner=preconditioner)
+                u, history = pcg_reference(p, 1e-10)
+                report = solve_resolvent(p, tol=1e-10)
                 assert np.array_equal(report.solution.view(np.int64), u.view(np.int64))
                 assert report.residual_history == history
 
@@ -285,15 +270,6 @@ class TestShiftedPairCG:
         u = exc.value.report.solution
         assert u.dtype == np.float64 and u.shape == (op.n,)
         assert u.flags.c_contiguous
-
-    def test_without_preconditioner(self):
-        for k, (op, tau) in enumerate(self.stiff_cases()):
-            y = self.labels(op.n, 3040 + k)
-            p = ResolventProblem(op, y, tau, 2)
-            report = solve_resolvent(p, tol=self.TOL, preconditioner="None")
-            assert report.preconditioner == "None"
-            assert report.final_relative_residual <= self.TOL
-            assert l2_mu_n(report.solution - solve_resolvent_dense(p)) < 1e-8
 
 
 class TestDenseOracle:
