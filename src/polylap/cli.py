@@ -48,8 +48,9 @@ def parse_modes(text, d):
         pieces = part.split(":")
         if len(pieces) != 3:
             raise ValidationError(f"bad mode entry {part!r} (want k:a:b)")
-        k = tuple(int(c) for c in pieces[0].split(","))
-        entries.append((k, float(pieces[1]), float(pieces[2])))
+        k = tuple(_number(int, c, "parameter 'modes'") for c in pieces[0].split(","))
+        a, b = (_number(float, v, "parameter 'modes'") for v in pieces[1:])
+        entries.append((k, a, b))
     if not entries:
         raise ValidationError("empty mode list")
     return FourierFunction.from_modes(d, entries)
@@ -60,8 +61,8 @@ def parse_density(params):
     if kind == "uniform":
         return UNIFORM
     if kind == "cosine_bump":
-        amp = float(params.get("density_amplitude", "0.5"))
-        mode = tuple(int(c) for c in params.get("density_mode", "1").split(","))
+        amp = _param(params, "density_amplitude", float, 0.5)
+        mode = tuple(_param_list(params, "density_mode", int, "1"))
         return DensitySpec("cosine_bump", amp, mode)
     raise ValidationError(f"unknown density {kind!r}")
 
@@ -76,11 +77,33 @@ def parse_kernel(params):
     return KernelProfile(params.get("kernel", "indicator"))
 
 
+def _number(conv, text, name):
+    """conv(text) for conv int or float, or a ValidationError that names
+    the parameter or environment variable the text came from."""
+    try:
+        return conv(text)
+    except ValueError:
+        kind = "an integer" if conv is int else "a number"
+        raise ValidationError(f"{name} must be {kind}, got {text!r}") from None
+
+
+def _param(params, key, conv, default=None):
+    """Numeric key as conv; default if it is unset, and without a default
+    an unset key is a missing parameter (KeyError)."""
+    text = params[key] if default is None else params.get(key, default)
+    return _number(conv, text, f"parameter {key!r}")
+
+
+def _param_list(params, key, conv, default):
+    """Comma-separated numeric key as a list of conv."""
+    return [_number(conv, v, f"parameter {key!r}") for v in params.get(key, default).split(",")]
+
+
 def _given(params, conv, *keys, **renamed):
-    """{arg: conv(params[key])} for each key the user set (a key named like
-    its argument, or arg=key); the library default applies to the rest."""
+    """{arg: params[key] as conv} for each key the user set (a key named
+    like its argument, or arg=key); the library default applies to the rest."""
     names = {**{key: key for key in keys}, **renamed}
-    return {arg: conv(params[key]) for arg, key in names.items() if key in params}
+    return {arg: _param(params, key, conv) for arg, key in names.items() if key in params}
 
 
 def _collect_params(args, extras):
@@ -101,12 +124,11 @@ def _collect_params(args, extras):
         params[key.replace("-", "_")] = value
     if errors:
         raise ValidationError("; ".join(errors))
-    if args.out is not None:
-        params["out"] = args.out
-    if args.seed is not None:
-        params["seed"] = str(args.seed)
-    if args.threads is not None:
-        params["threads"] = str(args.threads)
+    # the built-in flags win; --seed and --threads are parsed as numbers with
+    # the other keys, so a bad value is named like any other
+    for key in ("out", "seed", "threads"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     return params
 
 
@@ -158,13 +180,13 @@ def _load_points_csv(path, d):
 
 
 def cmd_denoise(params, dry_run):
-    d = int(params.get("d", "1"))
-    s = int(params.get("s", "1"))
-    eps = float(params["eps"])
-    tau = float(params.get("tau", "0.01"))
+    d = _param(params, "d", int, 1)
+    s = _param(params, "s", int, 1)
+    eps = _param(params, "eps", float)
+    tau = _param(params, "tau", float, 0.01)
     tol_kw = _given(params, float, "tol")
     kernel = parse_kernel(params)
-    seed = int(params.get("seed", "0"))
+    seed = _param(params, "seed", int, 0)
     if eps <= 0 or eps > 0.5:
         raise ValidationError("eps must lie in (0, 1/2]")
     if dry_run:
@@ -173,7 +195,7 @@ def cmd_denoise(params, dry_run):
     if "input_csv" in params:
         points, y = _load_points_csv(params["input_csv"], d)
     else:
-        n = int(params["n"])
+        n = _param(params, "n", int)
         g = parse_modes(params["modes"], d)
         noise = parse_noise(params)
         points = sample_cloud(parse_density(params), n, d, seed)
@@ -204,23 +226,27 @@ def cmd_denoise(params, dry_run):
 
 
 def cmd_sweep(params, dry_run):
-    d = int(params.get("d", "1"))
-    s = int(params.get("s", "1"))
-    n_grid = tuple(int(v) for v in params.get(
-        "n_grid", "1024,2048,4096,8192,16384,32768").split(","))
+    d = _param(params, "d", int, 1)
+    s = _param(params, "s", int, 1)
+    n_grid = tuple(_param_list(params, "n_grid", int, "1024,2048,4096,8192,16384,32768"))
     schedule = xp.Schedule(
         d=d, s=s, n_grid=n_grid, **_given(params, float, "eps_mult", "tau_mult")
     )
     g = parse_modes(params.get("modes", "1:1.0:0.0;2:0.0:0.5"), d)
     noise = parse_noise(params)
-    trials = int(params.get("trials", "10"))
-    seed = int(params.get("seed", "0"))
+    trials = _param(params, "trials", int, 10)
+    seed = _param(params, "seed", int, 0)
     tol_kw = _given(params, float, "tol")
     # worker processes: --threads, the config key, POLYLAP_THREADS, the CPU
     # count, in that order, and never more than the CPU count
     cpus = os.cpu_count() or 1
-    threads = params.get("threads") or os.environ.get("POLYLAP_THREADS") or cpus
-    workers = min(int(threads), cpus)
+    if params.get("threads"):
+        workers = _param(params, "threads", int)
+    elif os.environ.get("POLYLAP_THREADS"):
+        workers = _number(int, os.environ["POLYLAP_THREADS"], "POLYLAP_THREADS")
+    else:
+        workers = cpus
+    workers = min(workers, cpus)
     resolved = {
         "command": "sweep", "d": d, "s": s, "n_grid": list(n_grid),
         "eps": [schedule.eps_of(n) for n in n_grid],
@@ -251,13 +277,13 @@ def cmd_sweep(params, dry_run):
 
 
 def cmd_consistency(params, dry_run):
-    d = int(params.get("d", "1"))
-    s = int(params.get("s", "1"))
+    d = _param(params, "d", int, 1)
+    s = _param(params, "s", int, 1)
     u = parse_modes(params.get("modes", "1:0.0:1.0"), d)
-    eps_grid = [float(v) for v in params.get("eps_grid", "0.2,0.14,0.1,0.07").split(",")]
-    k_mult = float(params.get("k_mult", "40"))
-    trials = int(params.get("trials", "5"))
-    seed = int(params.get("seed", "0"))
+    eps_grid = _param_list(params, "eps_grid", float, "0.2,0.14,0.1,0.07")
+    k_mult = _param(params, "k_mult", float, 40.0)
+    trials = _param(params, "trials", int, 5)
+    seed = _param(params, "seed", int, 0)
     rule = xp.default_n_rule(k_mult, d, s)
     resolved = {
         "command": "consistency", "d": d, "s": s, "eps_grid": eps_grid,
@@ -274,11 +300,11 @@ def cmd_consistency(params, dry_run):
 
 
 def cmd_degrees(params, dry_run):
-    n = int(params.get("n", "10000"))
-    d = int(params.get("d", "1"))
-    eps = float(params.get("eps", "0.05"))
-    trials = int(params.get("trials", "10"))
-    seed = int(params.get("seed", "0"))
+    n = _param(params, "n", int, 10000)
+    d = _param(params, "d", int, 1)
+    eps = _param(params, "eps", float, 0.05)
+    trials = _param(params, "trials", int, 10)
+    seed = _param(params, "seed", int, 0)
     resolved = {"command": "degrees", "n": n, "d": d, "eps": eps, "trials": trials}
     if dry_run:
         return resolved
@@ -290,14 +316,14 @@ def cmd_degrees(params, dry_run):
 
 
 def cmd_spectrum(params, dry_run):
-    d = int(params.get("d", "1"))
-    eps = float(params["eps"])
-    seed = int(params.get("seed", "0"))
+    d = _param(params, "d", int, 1)
+    eps = _param(params, "eps", float)
+    seed = _param(params, "seed", int, 0)
     if "input_csv" in params:
         points, _ = _load_points_csv(params["input_csv"], d)
         n = len(points)
     else:
-        points, n = None, int(params.get("n", "100"))
+        points, n = None, _param(params, "n", int, 100)
     if n > DENSE_THRESHOLD:  # before any cloud is sampled or operator built
         raise ValidationError(f"n={n} exceeds the dense spectrum threshold {DENSE_THRESHOLD}")
     if points is None:
@@ -326,8 +352,8 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="INI config file with one section per command")
     parser.add_argument("--out", help="output directory (default: 'out')")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int,
+    parser.add_argument("--seed")
+    parser.add_argument("--threads",
                         help="sweep worker processes (default: POLYLAP_THREADS or CPU count)")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate and print the resolved parameters only")

@@ -19,7 +19,11 @@ from scipy import integrate, special
 def torus_distance(x, y):
     """Wrap-around Euclidean distance between points (or arrays of points).
 
-    Broadcasts over leading axes; the last axis is the coordinate axis.
+    Broadcasts over leading axes; the last axis is the coordinate axis.  The
+    squares are summed coordinate by coordinate, in coordinate order (for
+    d < 8 bitwise what np.sum over the last axis gives), so every temporary
+    is one coordinate wide.  `build_graph` passes transposed (d, m) arrays,
+    whose coordinates are then contiguous rows.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -27,9 +31,12 @@ def torus_distance(x, y):
         raise ValueError(
             f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}"
         )
-    diff = np.abs(x - y)
-    diff = np.minimum(diff, 1.0 - diff)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    total = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+    for k in range(x.shape[-1]):
+        diff = np.abs(x[..., k] - y[..., k])
+        diff = np.minimum(diff, 1.0 - diff)
+        total += diff * diff
+    return np.sqrt(total)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 Weights are stored already scaled, W_ij = eps^(-d) * eta(dist/eps); the
 Laplacian applies the extra 2/(n eps^2) factor at apply time.  Candidate
-pairs come from a periodic `scipy.spatial.cKDTree`; W is assembled once as a
-CSR matrix with neighbor lists sorted by index, which makes floating-point
-sums reproducible.
+pairs come from a periodic `scipy.spatial.cKDTree`, and their torus
+distances from one contiguous gather per coordinate column.  W is assembled
+once as a CSR matrix born sorted: one argsort of the row-major keys
+row * n + col of both directions of every edge orders the column indices
+and the weights, and bincounts of the rows give the row pointers, with no
+COO matrix and no per-row sort.  Neighbor lists sorted by index make
+floating-point sums reproducible.
 
 For d = 1 with the indicator kernel the neighborhood of each point is a
 contiguous window in sorted order, so `IntervalLaplacian` applies the same
@@ -99,18 +103,6 @@ def _validate_eps(eps):
         raise ValueError("eps must be <= 1/2 on the unit torus")
 
 
-def _from_pairs(n, eps, i, j, w) -> KernelGraph:
-    """KernelGraph with W_ij = W_ji = w for each unordered pair (i, j)."""
-    coo = sp.coo_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    )
-    csr = coo.tocsr()
-    csr.sort_indices()
-    # row sums accumulated in stored order, so apply(u) is reproducible
-    return KernelGraph(n, float(eps), csr, csr @ np.ones(n))
-
-
 def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> KernelGraph:
     """Exact epsilon-graph on an (n, d) array of points: all and only pairs
     with torus distance < eps.
@@ -118,6 +110,8 @@ def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> Kernel
     A periodic k-d tree proposes the pairs within a slightly larger radius;
     the torus distance and the kernel weight alone decide which of them are
     edges, so the edge set does not depend on how the tree rounds distances.
+    W is assembled already sorted: one argsort of the row-major keys
+    row * n + col of both directions orders the entries as CSR stores them.
     """
     _validate_eps(eps)
     n, d = points.shape
@@ -126,11 +120,25 @@ def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> Kernel
     if not (points.min() >= 0.0 and points.max() < 1.0):  # NaN fails both tests
         raise ValueError("points must be finite and lie in [0,1)^d")
     pairs = cKDTree(points, boxsize=1.0).query_pairs(eps * (1 + 1e-12), output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    dist = torus_distance(points[i], points[j])
+    # one contiguous gather per coordinate column, read as (m, d) views
+    cols = np.ascontiguousarray(points.T)
+    dist = torus_distance(cols.take(pairs[:, 0], axis=1).T, cols.take(pairs[:, 1], axis=1).T)
     w = kernel.eval(dist / eps) * eps ** (-d)
     keep = (dist < eps) & (w > 0.0)
-    return _from_pairs(n, eps, i[keep], j[keep], w[keep])
+    i, j, w = pairs[keep, 0], pairs[keep, 1], w[keep]
+    del pairs, dist, keep  # free the candidate-sized arrays before the assembly
+    order = np.concatenate([i * n + j, j * n + i]).argsort()  # keys are distinct
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), out=indptr[1:])
+    # int32 column indices, as scipy picks them; it narrows indptr itself
+    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    indices = np.concatenate([j, i], dtype=index_dtype)[order]
+    del i, j
+    # entries k and k + len(w) both hold w[k]
+    csr = sp.csr_matrix((w.take(order, mode="wrap"), indices, indptr), shape=(n, n))
+    csr.has_canonical_format = True  # sorted rows, no duplicate entries
+    # row sums accumulated in stored order, so apply(u) is reproducible
+    return KernelGraph(n, float(eps), csr, csr @ np.ones(n))
 
 
 def apply_poly_laplacian(graph, u, s: int):

@@ -357,6 +357,35 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert run_cli("sweep", "--config", "/nonexistent.ini") == 1
 
+    @pytest.mark.parametrize("argv, env, message", [
+        (["sweep", "--n_grid=64", "--trials=1"], "abc",
+         "POLYLAP_THREADS must be an integer, got 'abc'"),
+        (["sweep", "--trials=abc"], None, "parameter 'trials' must be an integer, got 'abc'"),
+        (["denoise", "--n=1.5", "--eps=0.2", "--modes=1:1:0"], None,
+         "parameter 'n' must be an integer, got '1.5'"),
+        (["denoise", "--eps=abc"], None, "parameter 'eps' must be a number, got 'abc'"),
+        (["consistency", "--eps_grid=0.2,x"], None,
+         "parameter 'eps_grid' must be a number, got 'x'"),
+        (["denoise", "--n=40", "--eps=0.2", "--modes=1:one:0"], None,
+         "parameter 'modes' must be a number, got 'one'"),
+        (["sweep", "--seed", "x", "--dry-run"], None,
+         "parameter 'seed' must be an integer, got 'x'"),
+        (["sweep", "--threads=2.5", "--dry-run"], None,
+         "parameter 'threads' must be an integer, got '2.5'"),
+    ], ids=["threads-env", "trials", "n", "eps", "eps-grid", "modes", "seed-flag",
+            "threads-flag"])
+    def test_non_numeric_value_named(self, tmp_path, monkeypatch, capsys, argv, env, message):
+        if env is not None:
+            monkeypatch.setenv("POLYLAP_THREADS", env)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    def test_non_numeric_config_key_named(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[sweep]\nthreads = two\n")
+        assert run_cli(*SMALL_SWEEP, "--config", str(config), "--out", str(tmp_path)) == 1
+        assert "parameter 'threads' must be an integer, got 'two'" in capsys.readouterr().err
+
     def test_memory_cap_maps_to_validation(self):
         assert run_cli(
             "consistency", "--eps-grid=0.05", "--k-mult=40", "--n-cap=1000", "--trials=1"

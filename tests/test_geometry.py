@@ -55,6 +55,32 @@ class TestTorusDistance:
         y = make_rng(3).random((1, 7, 2))
         assert torus_distance(x, y).shape == (5, 7)
 
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_bitwise_sum_over_coordinates(self, d):
+        # the coordinate-by-coordinate sum against one np.sum over the
+        # coordinate axis, as the metric was first written
+        def summed(x, y):
+            diff = np.abs(x - y)
+            diff = np.minimum(diff, 1.0 - diff)
+            return np.sqrt(np.sum(diff * diff, axis=-1))
+
+        rng = make_rng(4, d)
+        wraps = [(0.0, 0.5), (0.0, np.nextafter(1.0, 0.0)), (0.3, 0.3), (0.5, 0.0)]
+        x, y = rng.random((2, 1000, d))
+        for k, (a, b) in enumerate(wraps):
+            x[k], y[k] = a, b
+            x[10 + k, k % d], y[10 + k, k % d] = a, b
+        xb, yb = rng.random((40, 1, d)), rng.random((1, 30, d))
+        xb[:4, 0] = y[:4]  # wrap and equal points inside the broadcast too
+        yb[0, :4] = x[:4]
+        cases = [(x, y), (xb, yb), (x[0], y[0]), (x[:5], y[3]), (x.T.copy().T, y)]
+        for a, b in cases:
+            got, want = torus_distance(a, b), summed(a, b)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+        assert torus_distance([0.0] * d, [0.5] + [0.0] * (d - 1)) == 0.5
+        assert torus_distance(x[2], x[2]) == 0.0
+
 
 class TestKernelProfile:
     GRID = np.arange(0, 1.2001, 0.001)
