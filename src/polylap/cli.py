@@ -6,7 +6,8 @@ be overridden on the command line with --key=value (flags win).  Outputs go
 to a fixed layout under the output directory: records.csv, summary.json,
 config.echo.
 
-Exit codes: 0 success, 1 validation error, 2 solver failure, 3 I/O error.
+Exit codes: 0 success, 1 validation or usage error, 2 solver failure, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ EXIT_IO = 3
 
 class ValidationError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a validation error (exit 1); argparse would exit 2,
+    the code of a solver failure.  --help still exits 0."""
+
+    def error(self, message):
+        raise ValidationError(message)
 
 
 def parse_modes(text, d):
@@ -240,12 +249,14 @@ def cmd_sweep(params, dry_run):
     # worker processes: --threads, the config key, POLYLAP_THREADS, the CPU
     # count, in that order, and never more than the CPU count
     cpus = os.cpu_count() or 1
-    if params.get("threads"):
-        workers = _param(params, "threads", int)
-    elif os.environ.get("POLYLAP_THREADS"):
-        workers = _number(int, os.environ["POLYLAP_THREADS"], "POLYLAP_THREADS")
-    else:
-        workers = cpus
+    workers = cpus
+    for name, text in (("parameter 'threads'", params.get("threads")),
+                       ("POLYLAP_THREADS", os.environ.get("POLYLAP_THREADS"))):
+        if text:
+            workers = _number(int, text, name)
+            if workers < 1:
+                raise ValidationError(f"{name} must be >= 1, got {text!r}")
+            break
     workers = min(workers, cpus)
     resolved = {
         "command": "sweep", "d": d, "s": s, "n_grid": list(n_grid),
@@ -348,7 +359,7 @@ COMMANDS = {
 def main(argv=None):
     # allow_abbrev off: unknown --key=value pairs must reach the override
     # parser instead of being prefix-matched onto the built-in flags
-    parser = argparse.ArgumentParser(prog="polylap", description=__doc__, allow_abbrev=False)
+    parser = _ArgumentParser(prog="polylap", description=__doc__, allow_abbrev=False)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="INI config file with one section per command")
     parser.add_argument("--out", help="output directory (default: 'out')")
@@ -357,9 +368,8 @@ def main(argv=None):
                         help="sweep worker processes (default: POLYLAP_THREADS or CPU count)")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate and print the resolved parameters only")
-    args, extras = parser.parse_known_args(argv)
-
     try:
+        args, extras = parser.parse_known_args(argv)
         params = _collect_params(args, extras)
         result = COMMANDS[args.command](params, args.dry_run)
         # NaN and Infinity are not JSON: write an undefined value as null

@@ -120,6 +120,8 @@ class Schedule:
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be nonempty and strictly increasing")
+        if grid[0] < 2:  # eps(n) needs log n > 0
+            raise ValueError(f"n_grid entries must be >= 2, got {grid[0]}")
         if self.eps_mult <= 0 or self.tau_mult <= 0:
             raise ValueError("multipliers must be positive")
         object.__setattr__(self, "n_grid", grid)
@@ -332,7 +334,10 @@ def rate_sweep(
 
 
 def default_n_rule(k_mult: float, d: int, s: int):
-    """n(eps) = ceil(k_mult * log(1/eps) / eps^(d+4s)), for eps in (0, 1/2]."""
+    """n(eps) = ceil(k_mult * log(1/eps) / eps^(d+4s)), for eps in (0, 1/2]
+    and the powers s >= 1 that consistency_sweep compares."""
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
 
     def rule(eps):
         if not 0.0 < eps <= 0.5:
@@ -415,6 +420,8 @@ def consistency_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if s < 1:  # s = 0 would compare u with itself, s < 0 with an inverse power
+        raise ValueError(f"s must be >= 1, got {s}")
     d = u.d
     sigma = sigma_eta(INDICATOR, d)
     ref = continuum_laplacian_uniform(u, sigma, s)

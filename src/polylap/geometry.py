@@ -2,18 +2,17 @@
 
 The domain is the unit torus [0,1)^d.  Distances are Euclidean lengths of the
 coordinatewise minimal displacement, so no pair of points is farther apart
-than sqrt(d)/2.  Densities integrate to one analytically and are bounded away
-from zero, which keeps rejection sampling cheap.
+than sqrt(d)/2.  Densities have total mass one analytically and are bounded
+away from zero, which keeps rejection sampling cheap.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 
 def torus_distance(x, y):
@@ -63,6 +62,9 @@ class KernelProfile:
         return np.where(t < 1.0, out, 0.0)
 
 
+# eta = alpha + beta t on [0, 1/2] and on [1/2, 1), as (alpha, beta) per piece
+_LINEAR_PIECES = {"indicator": ((1.0, 0.0), (1.0, 0.0)), "plateau": ((1.0, 0.0), (2.0, -2.0))}
+
 INDICATOR = KernelProfile("indicator")
 PLATEAU = KernelProfile("plateau")
 
@@ -72,8 +74,8 @@ class DensitySpec:
     """Sampling density on the torus.
 
     "uniform": rho = 1.  "cosine_bump": rho(x) = 1 + a*cos(2*pi*k.x) with
-    amplitude a in [0,1) and integer mode vector k != 0; the cosine
-    integrates to zero so the total mass is one for both kinds.
+    amplitude a in [0,1) and integer mode vector k != 0; the cosine has
+    mean zero, so the total mass is one for both kinds.
     """
 
     kind: str = "uniform"
@@ -150,24 +152,26 @@ def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> np.ndarray:
     return np.concatenate(chunks)[:n]
 
 
-@functools.cache
 def sigma_eta(kernel: KernelProfile, d: int) -> float:
     """Second moment of the kernel: integral of eta(|h|) h_1^2 over R^d.
 
-    Reduced to a radial integral against r^(d+1) times the surface average
-    of omega_1^2, and evaluated by adaptive quadrature so every profile goes
-    through the same code path.  Analytic ball moments serve as oracles in
-    the tests.  Memoised: the quadrature runs once per (kernel, d).
+    In polar coordinates this is the integral of omega_1^2 over the unit
+    sphere, 2 pi^(d/2) / (Gamma(d/2) d), times the radial integral of
+    eta(r) r^(d+1) over [0, 1].  Both profiles are linear on [0, 1/2] and on
+    [1/2, 1], eta = alpha + beta r, so the radial integral is in closed form:
+    the sum over the two pieces [a, b] of
+    alpha (b^(d+2) - a^(d+2)) / (d+2) + beta (b^(d+3) - a^(d+3)) / (d+3).
+    For the indicator kernel at d <= 4 the sum keeps the bits that adaptive
+    quadrature over the same two pieces gave, and records.csv depends on
+    them; the single term 1/(d+2) would be one ulp low at d = 1.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     # integral of omega_1^2 over the unit sphere S^{d-1}
     surface = 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
     angular = surface / d
-    radial, err = integrate.quad(
-        lambda r: kernel.eval(r) * r ** (d + 1), 0.0, 1.0, points=[0.5], limit=200
-    )
-    value = angular * radial
-    if err > 1e-10 * max(abs(value), 1.0):
-        raise RuntimeError("kernel moment quadrature did not converge")
-    return value
+    radial = 0.0
+    for (a, b), (alpha, beta) in zip(((0.0, 0.5), (0.5, 1.0)), _LINEAR_PIECES[kernel.kind]):
+        radial += (alpha * (b ** (d + 2) - a ** (d + 2)) / (d + 2)
+                   + beta * (b ** (d + 3) - a ** (d + 3)) / (d + 3))
+    return angular * radial

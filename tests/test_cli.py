@@ -464,6 +464,52 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
 
+    def test_import_leaves_out_scipy_integrate(self):
+        # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
+        # about 180 modules and 0.2 s of start-up that nothing here needs
+        root = pathlib.Path(__file__).resolve().parents[1]
+        script = (
+            "import sys, polylap, polylap.cli\n"
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["sweep", "--dry-run", "--threads"], "argument --threads: expected one argument"),
+    ], ids=["command", "flag-value"])
+    def test_usage_error_is_validation(self, capsys, argv, message):
+        # exit 2 is a solver failure; argparse's own usage exit would collide
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: {message}")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        assert "usage: polylap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_grid", ["1", "1,64"])
+    def test_n_grid_below_two_named(self, capsys, n_grid):
+        # eps(n) divides by log n, which is 0 at n = 1
+        assert run_cli("sweep", f"--n_grid={n_grid}", "--dry-run") == 1
+        assert capsys.readouterr().err == "validation error: n_grid entries must be >= 2, got 1\n"
+
+    @pytest.mark.parametrize("s", ["0", "-1"])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_consistency_power_below_one(self, tmp_path, capsys, s, dry_run):
+        # s = 0 compared u with itself (error 0.0), s = -1 with its inverse
+        argv = ["consistency", f"--s={s}", "--eps_grid=0.3,0.2", "--trials=1",
+                "--k_mult=0.5", "--out", str(tmp_path)]
+        assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 1
+        assert capsys.readouterr().err == f"validation error: s must be >= 1, got {s}\n"
+        assert not (tmp_path / "records.csv").exists()
+
 
 def fake_pool(monkeypatch, cpus):
     """Sizes of the pools the CLI opens, with os.cpu_count() = cpus; the
@@ -519,6 +565,29 @@ class TestThreads:
         monkeypatch.setenv("POLYLAP_THREADS", "abc")
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
         assert run_cli(*SMALL_SWEEP, "--dry-run") == 1
+
+    @pytest.mark.parametrize("flag, env, config, message", [
+        ("--threads=0", None, None, "parameter 'threads' must be >= 1, got '0'"),
+        ("--threads=-2", None, None, "parameter 'threads' must be >= 1, got '-2'"),
+        (None, None, "0", "parameter 'threads' must be >= 1, got '0'"),
+        (None, "0", None, "POLYLAP_THREADS must be >= 1, got '0'"),
+    ], ids=["flag-zero", "flag-negative", "config-zero", "env-zero"])
+    def test_workers_below_one_named(self, tmp_path, monkeypatch, capsys,
+                                     flag, env, config, message):
+        # these once ran serially and exited 0
+        sizes = fake_pool(monkeypatch, 8)
+        argv = [*SMALL_SWEEP, "--out", str(tmp_path / "out")]
+        if flag is not None:
+            argv.append(flag)
+        if env is not None:
+            monkeypatch.setenv("POLYLAP_THREADS", env)
+        if config is not None:
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[sweep]\nthreads = {config}\n")
+            argv += ["--config", str(ini)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert sizes == [] and not (tmp_path / "out").exists()
 
     def test_sweep_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--n-grid=256,512", "--trials=2", "--modes=1:1.0:0.0"]

@@ -118,6 +118,9 @@ class TestSchedule:
             Schedule(d=1, s=1, n_grid=(), eps_mult=1.5)
         with pytest.raises(ValueError):
             Schedule(d=1, s=1, n_grid=(1024,), eps_mult=-1.0)
+        # eps(n) divides by log n, which is 0 at n = 1
+        with pytest.raises(ValueError, match="n_grid entries must be >= 2"):
+            Schedule(d=1, s=1, n_grid=(1, 64))
 
 
 def make_cfg(**kw):
@@ -245,6 +248,14 @@ class TestRateSweep:
 
 
 class TestConsistencySweep:
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_power_below_one_rejected(self, s):
+        u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            consistency_sweep(u, s, [0.2], lambda e: 200, 1, 0)
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            default_n_rule(40, 1, s)
+
     def test_constant_zero_error(self):
         u = FourierFunction.from_modes(1, [((0,), 3.0, 0.0)])
         res = consistency_sweep(u, 1, [0.2, 0.1], lambda e: 200, 2, 0)
