@@ -24,7 +24,7 @@ import numpy as np
 
 from . import experiments as xp
 from .continuum import FourierFunction
-from .geometry import UNIFORM, DensitySpec, KernelProfile, sample_cloud
+from .geometry import UNIFORM, DensitySpec, KernelProfile, check_eps, sample_cloud
 from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .graph import DENSE_THRESHOLD, dense_spectrum, dirichlet_energy, l2_mu_n
 from .solver import ResolventProblem, SolverError, check_residual, solve_resolvent
@@ -88,7 +88,7 @@ def parse_kernel(params):
 
 def _number(conv, text, name):
     """conv(text) for conv int or float, or a ValidationError that names
-    the parameter or environment variable the text came from."""
+    the parameter the text came from."""
     try:
         return conv(text)
     except ValueError:
@@ -196,8 +196,9 @@ def cmd_denoise(params, dry_run):
     tol_kw = _given(params, float, "tol")
     kernel = parse_kernel(params)
     seed = _param(params, "seed", int, 0)
-    if eps <= 0 or eps > 0.5:
-        raise ValidationError("eps must lie in (0, 1/2]")
+    check_eps(eps)
+    if s < 1:  # the CG path solves integer powers s >= 1
+        raise ValidationError(f"s must be >= 1, got {s}")
     if dry_run:
         return {"command": "denoise", "d": d, "s": s, "eps": eps, "tau": tau}
 
@@ -246,18 +247,12 @@ def cmd_sweep(params, dry_run):
     trials = _param(params, "trials", int, 10)
     seed = _param(params, "seed", int, 0)
     tol_kw = _given(params, float, "tol")
-    # worker processes: --threads, the config key, POLYLAP_THREADS, the CPU
-    # count, in that order, and never more than the CPU count
-    cpus = os.cpu_count() or 1
-    workers = cpus
-    for name, text in (("parameter 'threads'", params.get("threads")),
-                       ("POLYLAP_THREADS", os.environ.get("POLYLAP_THREADS"))):
-        if text:
-            workers = _number(int, text, name)
-            if workers < 1:
-                raise ValidationError(f"{name} must be >= 1, got {text!r}")
-            break
-    workers = min(workers, cpus)
+    # worker processes, serial by default: with the default BLAS threads
+    # each worker starts its own and a pool is slower than serial
+    workers = _param(params, "threads", int, 1)
+    if workers < 1:
+        raise ValidationError(f"parameter 'threads' must be >= 1, got {params['threads']!r}")
+    workers = min(workers, os.cpu_count() or 1)
     resolved = {
         "command": "sweep", "d": d, "s": s, "n_grid": list(n_grid),
         "eps": [schedule.eps_of(n) for n in n_grid],
@@ -314,6 +309,7 @@ def cmd_degrees(params, dry_run):
     n = _param(params, "n", int, 10000)
     d = _param(params, "d", int, 1)
     eps = _param(params, "eps", float, 0.05)
+    check_eps(eps)
     trials = _param(params, "trials", int, 10)
     seed = _param(params, "seed", int, 0)
     resolved = {"command": "degrees", "n": n, "d": d, "eps": eps, "trials": trials}
@@ -329,6 +325,7 @@ def cmd_degrees(params, dry_run):
 def cmd_spectrum(params, dry_run):
     d = _param(params, "d", int, 1)
     eps = _param(params, "eps", float)
+    check_eps(eps)
     seed = _param(params, "seed", int, 0)
     if "input_csv" in params:
         points, _ = _load_points_csv(params["input_csv"], d)
@@ -365,7 +362,7 @@ def main(argv=None):
     parser.add_argument("--out", help="output directory (default: 'out')")
     parser.add_argument("--seed")
     parser.add_argument("--threads",
-                        help="sweep worker processes (default: POLYLAP_THREADS or CPU count)")
+                        help="sweep worker processes (default: 1, at most the CPU count)")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate and print the resolved parameters only")
     try:

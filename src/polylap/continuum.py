@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DensitySpec, KernelProfile
+from .geometry import DensitySpec, KernelProfile, check_eps
 from .graph import BLOCK
 
 
@@ -171,8 +171,7 @@ def nonlocal_laplacian(
     """
     if quad_m < 8:
         raise ValueError("quad_m must be >= 8")
-    if eps <= 0 or eps > 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
+    check_eps(eps)
     x = np.asarray(x, dtype=float).reshape(-1)
     d = x.size
     nodes, wts = np.polynomial.legendre.leggauss(quad_m)

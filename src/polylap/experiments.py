@@ -9,9 +9,8 @@ density only, where the Fourier references are closed-form):
   total_err       ||u_n - g|_nodes||
 
 Each Fourier mode's cosine and sine are evaluated once per trial by
-FourierFunction.evaluate_with, in blocks of points.  In run_trial the labels,
-g and u*_tau come from the waves at the sampled points, permuted into operator
-order where the d=1 fast path sorts the nodes; in consistency_sweep
+FourierFunction.evaluate_with, in blocks of points.  In run_trial g and
+u*_tau share their waves at the operator's nodes; in consistency_sweep
 Delta^s u and Delta_eps^s u at the nodes share their waves.
 
 Rate fits use medians over trials; the heavy-tailed failure events the
@@ -38,6 +37,7 @@ from .geometry import (
     UNIFORM,
     DensitySpec,
     KernelProfile,
+    check_eps,
     make_rng,
     sample_cloud,
     sigma_eta,
@@ -85,12 +85,16 @@ class NoiseSpec:
         return self.scale * (2.0 * rng.integers(0, 2, n) - 1.0)
 
 
-def gen_labels(g: FourierFunction, points, noise: NoiseSpec, seed: int, g_values=None):
+def gen_labels(g: FourierFunction, points, noise: NoiseSpec, seed: int):
     """y_i = g(x_i) + xi_i with iid noise at the (n, d) points, deterministic
-    given the seed; g_values, if given, is g already evaluated there."""
-    if g_values is None:
-        g_values = g.evaluate(points)
-    return g_values + noise.sample(make_rng(seed), len(points))
+    given the seed."""
+    return g.evaluate(points) + noise.sample(make_rng(seed), len(points))
+
+
+def _check_multiplier(name, value):
+    """Reject a rule constant that is not finite and > 0, NaN included."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +126,10 @@ class Schedule:
             raise ValueError("n_grid must be nonempty and strictly increasing")
         if grid[0] < 2:  # eps(n) needs log n > 0
             raise ValueError(f"n_grid entries must be >= 2, got {grid[0]}")
-        if self.eps_mult <= 0 or self.tau_mult <= 0:
-            raise ValueError("multipliers must be positive")
+        if self.s < 1:  # the CG path solves integer powers s >= 1
+            raise ValueError(f"s must be >= 1, got {self.s}")
+        _check_multiplier("eps_mult", self.eps_mult)
+        _check_multiplier("tau_mult", self.tau_mult)
         object.__setattr__(self, "n_grid", grid)
 
     def eps_of(self, n):
@@ -188,8 +194,15 @@ def make_operator(points, eps, kernel, want_order=False):
     """
     n, d = points.shape
     if d == 1 and kernel.kind == "indicator":
-        order = _stable_argsort(points[:, 0]) if want_order else None
         op = IntervalLaplacian(points[:, 0], eps)
+        order = None
+        if want_order:
+            # np.argsort(x, kind="stable") by way of the faster default sort:
+            # distinct values have only one sorting permutation, so the
+            # stable sort runs only when the sorted op.x has equal neighbours
+            order = np.argsort(points[:, 0])
+            if np.any(op.x[1:] == op.x[:-1]):
+                order = np.argsort(points[:, 0], kind="stable")
         return op, op.x.reshape(-1, 1), order
     edges = n * (n - 1) / 2 * unit_ball_volume(d) * eps**d
     if edges > MAX_EXPLICIT_EDGES:
@@ -197,34 +210,21 @@ def make_operator(points, eps, kernel, want_order=False):
     return build_graph(points, eps, kernel), points, None
 
 
-def _stable_argsort(x):
-    """np.argsort(x, kind="stable") by way of the faster default sort.
-
-    Distinct values have only one sorting permutation, so the stable sort
-    runs only when the sorted values have equal neighbours.
-    """
-    order = np.argsort(x)
-    xs = x[order]
-    if np.any(xs[1:] == xs[:-1]):
-        order = np.argsort(x, kind="stable")
-    return order
-
-
 def run_trial(cfg: TrialConfig) -> ExperimentRecord:
     """One denoising trial against the exact uniform-density references."""
     cloud_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 0)
     noise_seed = derive_seed(cfg.base_seed, cfg.n_index, cfg.trial, 1)
     points = sample_cloud(UNIFORM, cfg.n, cfg.d, cloud_seed)
-    op, _, order = make_operator(points, cfg.eps, INDICATOR, want_order=True)
+    op, nodes, order = make_operator(points, cfg.eps, INDICATOR, want_order=True)
     sigma = sigma_eta(INDICATOR, cfg.d)
     u_star = continuum_solve_uniform(cfg.g, cfg.tau, cfg.s, sigma)
-    # g and u*_tau share their waves, evaluated once at the sampled points;
-    # labels are drawn in sampling order so the (point, noise) pairing does
-    # not depend on which operator representation is in play
-    g_nodes, u_star_nodes = cfg.g.evaluate_with(points, u_star)
-    y = gen_labels(cfg.g, points, cfg.noise, noise_seed, g_values=g_nodes)
-    if order is not None:
-        y, g_nodes, u_star_nodes = y[order], g_nodes[order], u_star_nodes[order]
+    # g and u*_tau share their waves, evaluated once at the operator's nodes;
+    # the noise is drawn in sampling order and gathered into node order, so
+    # the (point, noise) pairing does not depend on the operator form
+    g_nodes, u_star_nodes = cfg.g.evaluate_with(nodes, u_star)
+    xi = cfg.noise.sample(make_rng(noise_seed), cfg.n)
+    y = g_nodes + (xi if order is None else xi[order])
+    del points, nodes, xi, order  # the solve's peak is the trial's; none is needed there
     bias = exact_bias(cfg.g, cfg.tau, cfg.s, sigma)
 
     try:
@@ -338,10 +338,10 @@ def default_n_rule(k_mult: float, d: int, s: int):
     and the powers s >= 1 that consistency_sweep compares."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+    _check_multiplier("k_mult", k_mult)
 
     def rule(eps):
-        if not 0.0 < eps <= 0.5:
-            raise ValueError(f"eps={eps} must lie in (0, 1/2]")
+        check_eps(eps)
         return int(math.ceil(k_mult * math.log(1.0 / eps) / eps ** (d + 4 * s)))
 
     return rule
@@ -495,6 +495,7 @@ def degree_concentration_check(
     Requires n eps^d >= 1, the concentration regime.  The neighbor cap is
     cap_mult times the unit-ball volume factor times n eps^d.
     """
+    _check_multiplier("cap_mult", cap_mult)
     if n * eps**d < 1.0:
         raise ValueError("need n * eps^d >= 1")
     if trials < 1:

@@ -15,6 +15,13 @@ import numpy as np
 from scipy import special
 
 
+def check_eps(eps):
+    """Reject a neighborhood radius outside (0, 1/2], NaN included: no pair of
+    points on the unit torus is farther apart than 1/2 in one coordinate."""
+    if not 0.0 < eps <= 0.5:
+        raise ValueError(f"eps={eps} must lie in (0, 1/2]")
+
+
 def torus_distance(x, y):
     """Wrap-around Euclidean distance between points (or arrays of points).
 

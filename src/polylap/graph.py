@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .geometry import INDICATOR, KernelProfile, torus_distance
+from .geometry import INDICATOR, KernelProfile, check_eps, torus_distance
 
 DENSE_THRESHOLD = 500
 # points per block of IntervalLaplacian's construction and apply
@@ -96,13 +96,6 @@ def _readonly(a):
     return view
 
 
-def _validate_eps(eps):
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if eps > 0.5:
-        raise ValueError("eps must be <= 1/2 on the unit torus")
-
-
 def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> KernelGraph:
     """Exact epsilon-graph on an (n, d) array of points: all and only pairs
     with torus distance < eps.
@@ -113,7 +106,7 @@ def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> Kernel
     W is assembled already sorted: one argsort of the row-major keys
     row * n + col of both directions orders the entries as CSR stores them.
     """
-    _validate_eps(eps)
+    check_eps(eps)
     n, d = points.shape
     if n == 0:
         raise ValueError("cloud is empty")
@@ -244,7 +237,7 @@ class IntervalLaplacian:
     """
 
     def __init__(self, points_1d, eps):
-        _validate_eps(eps)
+        check_eps(eps)
         x = np.sort(np.asarray(points_1d, dtype=float).reshape(-1))
         n = x.size
         if n == 0:

@@ -357,26 +357,19 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert run_cli("sweep", "--config", "/nonexistent.ini") == 1
 
-    @pytest.mark.parametrize("argv, env, message", [
-        (["sweep", "--n_grid=64", "--trials=1"], "abc",
-         "POLYLAP_THREADS must be an integer, got 'abc'"),
-        (["sweep", "--trials=abc"], None, "parameter 'trials' must be an integer, got 'abc'"),
-        (["denoise", "--n=1.5", "--eps=0.2", "--modes=1:1:0"], None,
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--trials=abc"], "parameter 'trials' must be an integer, got 'abc'"),
+        (["denoise", "--n=1.5", "--eps=0.2", "--modes=1:1:0"],
          "parameter 'n' must be an integer, got '1.5'"),
-        (["denoise", "--eps=abc"], None, "parameter 'eps' must be a number, got 'abc'"),
-        (["consistency", "--eps_grid=0.2,x"], None,
-         "parameter 'eps_grid' must be a number, got 'x'"),
-        (["denoise", "--n=40", "--eps=0.2", "--modes=1:one:0"], None,
+        (["denoise", "--eps=abc"], "parameter 'eps' must be a number, got 'abc'"),
+        (["consistency", "--eps_grid=0.2,x"], "parameter 'eps_grid' must be a number, got 'x'"),
+        (["denoise", "--n=40", "--eps=0.2", "--modes=1:one:0"],
          "parameter 'modes' must be a number, got 'one'"),
-        (["sweep", "--seed", "x", "--dry-run"], None,
-         "parameter 'seed' must be an integer, got 'x'"),
-        (["sweep", "--threads=2.5", "--dry-run"], None,
+        (["sweep", "--seed", "x", "--dry-run"], "parameter 'seed' must be an integer, got 'x'"),
+        (["sweep", "--threads=2.5", "--dry-run"],
          "parameter 'threads' must be an integer, got '2.5'"),
-    ], ids=["threads-env", "trials", "n", "eps", "eps-grid", "modes", "seed-flag",
-            "threads-flag"])
-    def test_non_numeric_value_named(self, tmp_path, monkeypatch, capsys, argv, env, message):
-        if env is not None:
-            monkeypatch.setenv("POLYLAP_THREADS", env)
+    ], ids=["trials", "n", "eps", "eps-grid", "modes", "seed-flag", "threads-flag"])
+    def test_non_numeric_value_named(self, tmp_path, capsys, argv, message):
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
@@ -457,6 +450,33 @@ class TestExitCodes:
         assert summary.pop("solver.failed") == 0
         assert [name for name, value in summary.items() if not value > 0] == []
 
+    def test_benchmark_tiny_outputs_match_golden(self, tmp_path):
+        # every --tiny benchmark op for every pool seed against
+        # perfbench/golden.json, as perfbench/run.py gates a full-size op;
+        # importing run first pins one BLAS thread, which the bytes need
+        root = pathlib.Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+        script = (
+            "import json, sys, run, polylap.cli as cli\n"
+            "bad = []\n"
+            "for workload, sizes in run.WORKLOADS.items():\n"
+            "    golden = run.load_golden(workload, 'tiny')\n"
+            "    for seed in range(run.SEED_POOL):\n"
+            "        argv = sizes['tiny'] + [f'--seed={seed}']\n"
+            "        try:\n"
+            "            assert cli.main(argv + ['--out', sys.argv[1]]) == 0, 'nonzero exit'\n"
+            "            run.check(run.observe(argv, sys.argv[1]), golden[str(seed)])\n"
+            "        except (AssertionError, run.GateError) as err:\n"
+            "            bad.append(f'{workload} seed {seed}: {err}')\n"
+            "print(json.dumps(bad))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "polylap.cli", "sweep", "--dry-run"],
@@ -510,6 +530,48 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"validation error: s must be >= 1, got {s}\n"
         assert not (tmp_path / "records.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n_grid=64,128", "--trials=1"],
+        ["denoise", "--n=40", "--eps=0.2", "--modes=1:1:0"],
+    ], ids=["sweep", "denoise"])
+    @pytest.mark.parametrize("s", ["0", "-1"])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_power_below_one(self, tmp_path, capsys, argv, s, dry_run):
+        # s = 0 passed the dry run and then failed inside the solver
+        argv = [*argv, f"--s={s}", "--out", str(tmp_path)]
+        assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 1
+        assert capsys.readouterr().err == f"validation error: s must be >= 1, got {s}\n"
+        assert not (tmp_path / "records.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--eps_mult=nan"], "eps_mult must be finite and > 0, got nan"),
+        (["sweep", "--eps_mult=inf"], "eps_mult must be finite and > 0, got inf"),
+        (["sweep", "--tau_mult=inf"], "tau_mult must be finite and > 0, got inf"),
+        (["consistency", "--k_mult=inf"], "k_mult must be finite and > 0, got inf"),
+        (["consistency", "--k_mult=inf", "--dry-run"], "k_mult must be finite and > 0, got inf"),
+        (["consistency", "--k_mult=0"], "k_mult must be finite and > 0, got 0.0"),
+        (["degrees", "--cap_mult=-1"], "cap_mult must be finite and > 0, got -1.0"),
+    ], ids=["eps-nan", "eps-inf", "tau-inf", "k-inf", "k-inf-dry-run", "k-zero", "cap-negative"])
+    def test_bad_multiplier_named(self, tmp_path, capsys, argv, message):
+        # these once failed with a message about tau or n, an uncaught
+        # OverflowError, or exited 0 with eps capped or a negative cap
+        assert run_cli(*argv, "--n_grid=64,128", "--trials=1", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["denoise", "--n=40", "--modes=1:1:0"],
+        ["degrees", "--n=200"],
+        ["spectrum", "--n=50"],
+    ], ids=["denoise", "degrees", "spectrum"])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_nan_eps_named(self, tmp_path, capsys, argv, dry_run):
+        # NaN passed every hand-written range check: denoise failed as a
+        # solver stagnation, degrees exited 0 and spectrum failed in eigh;
+        # the dry runs of degrees and spectrum did not check eps at all
+        argv = [*argv, "--eps=nan", "--out", str(tmp_path)]
+        assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 1
+        assert capsys.readouterr().err == "validation error: eps=nan must lie in (0, 1/2]\n"
+
 
 def fake_pool(monkeypatch, cpus):
     """Sizes of the pools the CLI opens, with os.cpu_count() = cpus; the
@@ -538,16 +600,17 @@ SMALL_SWEEP = ["sweep", "--n-grid=256,512", "--trials=1", "--modes=1:1.0:0.0"]
 
 
 class TestThreads:
-    def test_env_fallback(self, tmp_path, monkeypatch):
+    def test_serial_by_default(self, tmp_path, monkeypatch):
+        # a pool with the default BLAS threads was slower than serial
         sizes = fake_pool(monkeypatch, 8)
-        monkeypatch.setenv("POLYLAP_THREADS", "3")
         assert run_cli(*SMALL_SWEEP, "--out", str(tmp_path)) == 0
-        assert sizes == [3]
+        assert sizes == []
+        assert run_cli(*SMALL_SWEEP, "--out", str(tmp_path), "--threads=2") == 0
+        assert sizes == [2]
 
     def test_flag_wins(self, tmp_path, monkeypatch):
-        # the flag over the config key over POLYLAP_THREADS
+        # the flag over the config key
         sizes = fake_pool(monkeypatch, 8)
-        monkeypatch.setenv("POLYLAP_THREADS", "3")
         config = tmp_path / "run.ini"
         config.write_text("[sweep]\nthreads = 5\n")
         out = tmp_path / "out"
@@ -557,30 +620,17 @@ class TestThreads:
         assert sizes == [5, 2]
         assert "threads=2\n" in (out / "config.echo").read_text()
 
-    @pytest.mark.parametrize("argv", [
-        ["denoise", "--n=50", "--eps=0.2", "--modes=1:1:0"],
-        ["spectrum", "--n=50", "--eps=0.2"],
-    ])
-    def test_env_read_by_sweep_only(self, tmp_path, monkeypatch, argv):
-        monkeypatch.setenv("POLYLAP_THREADS", "abc")
-        assert run_cli(*argv, "--out", str(tmp_path)) == 0
-        assert run_cli(*SMALL_SWEEP, "--dry-run") == 1
-
-    @pytest.mark.parametrize("flag, env, config, message", [
-        ("--threads=0", None, None, "parameter 'threads' must be >= 1, got '0'"),
-        ("--threads=-2", None, None, "parameter 'threads' must be >= 1, got '-2'"),
-        (None, None, "0", "parameter 'threads' must be >= 1, got '0'"),
-        (None, "0", None, "POLYLAP_THREADS must be >= 1, got '0'"),
-    ], ids=["flag-zero", "flag-negative", "config-zero", "env-zero"])
-    def test_workers_below_one_named(self, tmp_path, monkeypatch, capsys,
-                                     flag, env, config, message):
+    @pytest.mark.parametrize("flag, config, message", [
+        ("--threads=0", None, "parameter 'threads' must be >= 1, got '0'"),
+        ("--threads=-2", None, "parameter 'threads' must be >= 1, got '-2'"),
+        (None, "0", "parameter 'threads' must be >= 1, got '0'"),
+    ], ids=["flag-zero", "flag-negative", "config-zero"])
+    def test_workers_below_one_named(self, tmp_path, monkeypatch, capsys, flag, config, message):
         # these once ran serially and exited 0
         sizes = fake_pool(monkeypatch, 8)
         argv = [*SMALL_SWEEP, "--out", str(tmp_path / "out")]
         if flag is not None:
             argv.append(flag)
-        if env is not None:
-            monkeypatch.setenv("POLYLAP_THREADS", env)
         if config is not None:
             ini = tmp_path / "run.ini"
             ini.write_text(f"[sweep]\nthreads = {config}\n")

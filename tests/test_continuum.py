@@ -78,8 +78,9 @@ class TestEvaluateWith:
 
     @pytest.mark.parametrize("tau, s", [(0.0, 1), (1e-3, 1), (1e-4, 2)])
     def test_bitwise_at_sorted_nodes(self, tau, s):
-        # run_trial evaluates at the sampled points and permutes into the
-        # d=1 operator order; the parent evaluated at the sorted nodes
+        # run_trial evaluates at the sorted d=1 nodes; evaluating at the
+        # sampled points and permuting must give the same bits, so the
+        # records do not depend on the operator's node order
         x = sample_cloud(UNIFORM, 2000, 1, 17)
         order = np.argsort(x[:, 0], kind="stable")
         u_star = continuum_solve_uniform(self.G, tau, s, SIGMA1)
@@ -226,8 +227,9 @@ class TestNonlocalLaplacian:
         assert 1.7 <= slope <= 2.3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            nonlocal_laplacian(cos1(), UNIFORM, 0.6, INDICATOR, [0.0])
+        for eps in (0.6, np.nan):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\]"):
+                nonlocal_laplacian(cos1(), UNIFORM, eps, INDICATOR, [0.0])
         with pytest.raises(ValueError):
             nonlocal_laplacian(cos1(), UNIFORM, 0.1, INDICATOR, [0.0], quad_m=4)
 

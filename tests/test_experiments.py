@@ -121,6 +121,15 @@ class TestSchedule:
         # eps(n) divides by log n, which is 0 at n = 1
         with pytest.raises(ValueError, match="n_grid entries must be >= 2"):
             Schedule(d=1, s=1, n_grid=(1, 64))
+        with pytest.raises(ValueError, match="s must be >= 1, got 0"):
+            Schedule(d=1, s=0, n_grid=(64,))
+
+    @pytest.mark.parametrize("name", ["eps_mult", "tau_mult"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_multiplier_validation(self, name, value):
+        # a NaN or infinite eps_mult once failed as a tau error or was capped
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
+            Schedule(d=1, s=1, n_grid=(64,), **{name: value})
 
 
 def make_cfg(**kw):
@@ -194,6 +203,17 @@ class TestRunTrial:
         rec = run_trial(make_cfg())
         assert rec.solver_residual <= 1e-10
         assert rec.solver_iterations >= 1
+
+    def test_memory_budget(self, traced_peak):
+        # the s = 1 solve holds the operator (20 B/pt), g, u*_tau and the
+        # labels at the nodes (24), CG's x, r, z, d, work buffer and diagonal
+        # (48), the last product and an apply's prefix sums and result (24):
+        # the sampled cloud, the nodes, the noise and the order are freed
+        # before it would add to that
+        n = 1_000_000
+        rec, peak = traced_peak(run_trial, make_cfg(n=n, eps=0.3, tau=0.3))
+        assert not rec.failed
+        assert peak <= 116 * n + MEMORY_SLACK, f"{peak / n:.2f} B/pt"
 
 
 class TestRateSweep:

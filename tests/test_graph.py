@@ -128,11 +128,11 @@ class TestBuildGraph:
         assert degree_statistics(g) == (0.0, 0.0, 0)
 
     def test_eps_validation(self):
+        # a NaN eps once built a graph with no edges
         cloud = sample_cloud(UNIFORM, 10, 1, 0)
-        with pytest.raises(ValueError):
-            build_graph(cloud, 0.0)
-        with pytest.raises(ValueError):
-            build_graph(cloud, 0.6)
+        for eps in (0.0, 0.6, np.nan):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\]"):
+                build_graph(cloud, eps)
 
     @pytest.mark.parametrize("bad", [-0.2, 1.0, 1.7, np.nan, np.inf, -np.inf])
     def test_points_outside_unit_torus(self, bad):
@@ -448,6 +448,9 @@ class TestIntervalLaplacian:
     def test_validation(self):
         with pytest.raises(ValueError):
             IntervalLaplacian([0.1, 0.2], 0.6)
+        # a NaN eps once joined every pair of points
+        with pytest.raises(ValueError, match=r"eps=nan must lie in \(0, 1/2\]"):
+            IntervalLaplacian([0.1, 0.2], np.nan)
         with pytest.raises(ValueError):
             IntervalLaplacian([], 0.1)
 
