@@ -26,7 +26,7 @@ from . import experiments as xp
 from .continuum import FourierFunction
 from .geometry import UNIFORM, DensitySpec, KernelProfile, check_eps, sample_cloud
 from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
-from .graph import DENSE_THRESHOLD, dense_spectrum, dirichlet_energy, l2_mu_n
+from .graph import DENSE_THRESHOLD, available_cpus, dense_spectrum, dirichlet_energy, l2_mu_n
 from .solver import ResolventProblem, SolverError, check_residual, solve_resolvent
 
 EXIT_OK = 0
@@ -252,7 +252,7 @@ def cmd_sweep(params, dry_run):
     workers = _param(params, "threads", int, 1)
     if workers < 1:
         raise ValidationError(f"parameter 'threads' must be >= 1, got {params['threads']!r}")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, available_cpus())
     resolved = {
         "command": "sweep", "d": d, "s": s, "n_grid": list(n_grid),
         "eps": [schedule.eps_of(n) for n in n_grid],

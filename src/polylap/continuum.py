@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import DensitySpec, KernelProfile, check_eps
-from .graph import BLOCK
+from .graph import _run_blocks
 
 
 def _canonical_mode(k):
@@ -67,12 +67,14 @@ class FourierFunction:
         and sine of each mode computed once for all of them.
 
         Each derived function must list its modes in this one's order, as
-        map_modes keeps them.  Points are taken in blocks of BLOCK: per block
-        and mode, the phase 2 pi x.k and each needed wave are computed once
-        and c * wave is added into the block's slice of every output, mode
-        by mode, cosine before sine.  So each output is bitwise what
-        evaluating that function alone gives, and beside the outputs only
-        block-sized arrays are live.
+        map_modes keeps them.  Points are taken in blocks of BLOCK, shared
+        by the block loops' workers (`graph._run_blocks`): per block and
+        mode, the phase 2 pi x.k and each needed wave are computed once and
+        c * wave is added into the block's slice of every output, mode by
+        mode, cosine before sine.  So each output is bitwise what evaluating
+        that function alone gives, for any worker count, and beside the
+        outputs each worker holds three arrays of BLOCK // WORKERS points,
+        24 * BLOCK bytes in all.
         """
         x = np.asarray(x, dtype=float)
         fns = (self, *derived)
@@ -83,17 +85,25 @@ class FourierFunction:
                 raise ValueError("derived modes must follow this function's mode order")
         pts = x.reshape(-1, self.d)
         outs = [np.zeros(len(pts)) for _ in fns]
-        for a in range(0, len(pts), BLOCK):
-            block = slice(a, a + BLOCK)
-            for k in self.modes:
-                coefs = [f.modes.get(k, (0.0, 0.0)) for f in fns]
-                phase = 2.0 * np.pi * (pts[block] @ np.asarray(k, dtype=float))
+        waves = [
+            (np.asarray(k, dtype=float), [f.modes.get(k, (0.0, 0.0)) for f in fns])
+            for k in self.modes
+        ]
+
+        def evaluate_span(a, b, work):
+            phase, wave, term = work[:, : b - a]
+            for k, coefs in waves:
+                np.matmul(pts[a:b], k, out=phase)
+                phase *= 2.0 * np.pi
                 for i, wave_fn in enumerate((np.cos, np.sin)):
                     if any(c[i] for c in coefs):
-                        wave = wave_fn(phase)
+                        wave_fn(phase, out=wave)
                         for out, c in zip(outs, coefs):
                             if c[i]:
-                                out[block] += c[i] * wave
+                                np.multiply(c[i], wave, out=term)
+                                out[a:b] += term
+
+        _run_blocks(len(pts), evaluate_span, lambda size: np.empty((3, size)))
         return [out.reshape(x.shape[:-1]) for out in outs]
 
     __call__ = evaluate

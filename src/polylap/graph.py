@@ -20,7 +20,10 @@ prefix sums and result.  Its construction finds the window ends in O(n) too:
 a block's shifted coordinates x - eps and x + eps are at most two ascending
 runs each, and each run is merged into the slice of sorted points that holds
 its answers by a stable sort of bit-pattern keys, with no binary search per
-point.  `experiments.make_operator` is the one place that picks between the
+point.  Beyond one block the block loops run on a thread pool of one worker
+per CPU this process may run on (`_run_blocks`); each worker's buffers are
+1/WORKERS of the serial set, so the bytes per point stay the same, and the
+results are bitwise those of the serial loop.  `experiments.make_operator` is the one place that picks between the
 two forms.  Both share one operator protocol: `n`, `eps`, `degrees`,
 `neighbor_counts()` and `apply(u)`.  All else here uses only that protocol,
 and so does the solver; `dense_spectrum` assembles its matrix from `apply`.
@@ -28,6 +31,10 @@ and so does the solver; `dense_spectrum` assembles its matrix from `apply`.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +44,75 @@ from scipy.spatial import cKDTree
 from .geometry import INDICATOR, KernelProfile, check_eps, torus_distance
 
 DENSE_THRESHOLD = 500
-# points per block of IntervalLaplacian's construction and apply
+# points per block of IntervalLaplacian's construction and apply, and of
+# FourierFunction.evaluate_with
 BLOCK = 1 << 15
+
+
+def available_cpus():
+    """CPUs this process may run on: its affinity mask, or os.cpu_count()
+    where the platform reports no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# threads that share a block loop over more than one BLOCK of points
+WORKERS = available_cpus()
+_pool = None  # (pid, executor) of the block loops, made on first use
+
+
+def _block_pool():
+    """The block loops' thread pool, made on first use and again in a forked
+    child, which inherits the executor but none of its threads."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        # imported here: a cold import costs about 10 ms, which every run
+        # that never leaves one block would pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = os.getpid(), ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="polylap-block")
+    return _pool[1]
+
+
+def _run_blocks(n, task, make_work):
+    """task(a, b, work) over consecutive spans [a, b) that cover range(n).
+
+    Up to one BLOCK of points, or with one worker, the spans are blocks of
+    BLOCK run inline with one make_work(size) buffer set.  Otherwise WORKERS
+    threads, this one and WORKERS - 1 of the pool, each with its own buffer
+    set, take spans of BLOCK // WORKERS points from one shared counter until
+    none is left, so all buffer sets together are the size of the serial
+    one.  Each span writes only its own slices, and no point's arithmetic
+    depends on its span, so the results are bitwise those of the serial
+    loop for any worker count.  A pool thread runs in a copy of the caller's
+    context, which carries NumPy's error state.
+    """
+    workers = WORKERS if n > BLOCK else 1
+    span = BLOCK // workers
+    starts, lock = iter(range(0, n, span)), threading.Lock()
+
+    def drain(work):
+        while True:
+            with lock:
+                a = next(starts, None)
+            if a is None:
+                return
+            task(a, min(a + span, n), work)
+
+    if workers == 1:
+        drain(make_work(min(n, span)))
+        return
+    pool = _block_pool()
+    futures = [
+        pool.submit(contextvars.copy_context().run, drain, make_work(span))
+        for _ in range(workers - 1)
+    ]
+    try:
+        drain(make_work(span))
+    finally:
+        for future in futures:
+            future.result()
 
 
 def l2_mu_n(u):
@@ -177,39 +251,45 @@ def degree_statistics(graph):
     return float(norm_deg.min()), float(norm_deg.max()), int(counts.max())
 
 
-def _merge_searchsorted(x, q, side, out, keys, is_query, steps):
-    """out[k] = np.searchsorted(x, q[k], side) for ascending non-negative x
-    and q, found by merging q into the slice of x that holds the answers.
+def _merge_searchsorted(x, src, shift, wrap, side, out, keys, is_query, steps):
+    """out[k] = np.searchsorted(x, q[k], side) for the queries
+    q = (src + shift) + wrap, with x and q ascending and non-negative, found
+    by merging q into the slice of x that holds the answers.
 
     Non-negative doubles order like their bit patterns, so each value
-    becomes the uint64 key bits << 1 | tag, with -0.0 read as +0.0.  Tagging
-    x 0 and q 1 puts a query after the points equal to it (side="right"),
-    the reverse tags put it before them (side="left").  A stable sort of the
-    keys, NumPy's timsort, merges the two presorted runs in linear time, and
-    the k-th query's answer is its merged position minus k plus the slice
-    start.  Each merge takes at most BLOCK queries and a slice of at most
-    BLOCK points, so the work buffers, keys and is_query with room for both
-    and steps = arange(at most BLOCK), stay block-sized however the points
-    cluster.
+    becomes the uint64 key bits << 1 | tag, with -0.0 read as +0.0: x gets
+    0.0 added, and a sum is -0.0 only if both terms are, which wrap (0.0 or
+    +-1.0) never is.  Tagging x 0 and q 1 puts a query after
+    the points equal to it (side="right"), the reverse tags put it before
+    them (side="left").  A stable sort of the keys, NumPy's timsort, merges
+    the two presorted runs in linear time, and the k-th query's answer is
+    its merged position minus k plus the slice start.  Each merge takes at
+    most cap = steps.size queries, written straight into the keys, and a
+    slice of at most cap points, so the work buffers, keys and is_query with
+    room for 2 * cap and steps = arange(cap), bound the memory however the
+    points cluster.
     """
-    n, k = x.size, q.size
+    n, k, cap = x.size, src.size, steps.size
     # queries with answer <= c are those below x[c] (right) or up to it (left)
     other = "left" if side == "right" else "right"
     x_tag, q_tag = (0, 1) if side == "right" else (1, 0)
     i = 0
     while i < k:
-        start = int(np.searchsorted(x, q[i], side))
-        c, j = start + BLOCK, min(i + BLOCK, k)
+        j = min(i + cap, k)
+        qs = keys[: j - i].view(np.float64)
+        np.add(src[i:j], shift, out=qs)
+        qs += wrap
+        start = int(np.searchsorted(x, qs[0], side))
+        c = start + cap
         if c < n:
-            j = i + int(np.searchsorted(q[i:j], x[c], other))
-        stop = int(np.searchsorted(x, q[j - 1], side))
-        m, size = stop - start, stop - start + j - i
-        merged, bits = keys[:size], keys[:size].view(np.float64)
-        np.add(x[start:stop], 0.0, out=bits[:m])
-        np.add(q[i:j], 0.0, out=bits[m:])
+            j = i + int(np.searchsorted(qs, x[c], other))
+        stop = int(np.searchsorted(x, qs[j - i - 1], side))
+        size = j - i + stop - start
+        merged = keys[:size]
+        np.add(x[start:stop], 0.0, out=merged[j - i :].view(np.float64))
         merged <<= 1
-        merged[:m] |= x_tag
-        merged[m:] |= q_tag
+        merged[: j - i] |= q_tag
+        merged[j - i :] |= x_tag
         merged.sort(kind="stable")
         tags = is_query[:size]
         np.bitwise_and(merged, 1, out=tags, casting="unsafe")
@@ -222,6 +302,11 @@ def _merge_searchsorted(x, q, side, out, keys, is_query, steps):
         i = j
 
 
+def _merge_buffers(size):
+    """The keys, is_query and steps buffers of merges capped at size."""
+    return np.empty(2 * size, np.uint64), np.empty(2 * size, bool), np.arange(size)
+
+
 class IntervalLaplacian:
     """Matrix-free d=1 indicator-kernel Laplacian on sorted points.
 
@@ -229,11 +314,14 @@ class IntervalLaplacian:
     sorted order, so W u reduces to windowed prefix sums.  Signals are indexed
     in sorted-coordinate order.  The operator keeps 20 bytes per point (x and
     the int32 window ends and neighbor counts); construction and apply work
-    in blocks of BLOCK points, so an apply holds no other n-length array than
-    u, the prefix sums and its result.  The window ends of a block are found
-    in O(BLOCK) by merging its shifted coordinates, at most two ascending
-    runs, into the sorted points (`_merge_searchsorted`), not by one binary
-    search per point.
+    in blocks of BLOCK points, shared by the CPUs this process may run on
+    (`_run_blocks`), so an apply holds no other n-length array than u, the
+    prefix sums and its result.  Every worker holds its own buffers for
+    BLOCK // WORKERS points, so all of them together take what one serial
+    block does: about 34 * BLOCK bytes in the construction, 8 * BLOCK in an
+    apply.  The window ends of a block are found in O(BLOCK) by merging its
+    shifted coordinates, at most two ascending runs, into the sorted points
+    (`_merge_searchsorted`), not by one binary search per point.
     """
 
     def __init__(self, points_1d, eps):
@@ -258,32 +346,30 @@ class IntervalLaplacian:
         self._lo_rem = np.empty(n, np.int32)
         self._hi_rem = np.empty(n, np.int32)
         self._counts = np.empty(n, np.int32)
-        self._below_end = 0  # x_i - eps < 0 for i < _below_end
-        self._above_start = n  # x_i + eps >= 1 for i >= _above_start
-        size = min(n, BLOCK)
-        q = np.empty(size)
-        work = (np.empty(2 * size, np.uint64), np.empty(2 * size, bool), np.arange(size))
-        for a in range(0, n, BLOCK):
-            b = min(a + BLOCK, n)
-            qb, lo, hi = q[: b - a], self._lo_rem[a:b], self._hi_rem[a:b]
-            np.subtract(x[a:b], eps, out=qb)
-            below = int(np.searchsorted(qb, 0.0))
-            qb[:below] += 1.0
-            _merge_searchsorted(x, qb[:below], "right", lo[:below], *work)
-            _merge_searchsorted(x, qb[below:], "right", lo[below:], *work)
-            np.add(x[a:b], eps, out=qb)
-            above = int(np.searchsorted(qb, 1.0))
-            qb[above:] -= 1.0
-            _merge_searchsorted(x, qb[:above], "left", hi[:above], *work)
-            _merge_searchsorted(x, qb[above:], "left", hi[above:], *work)
-            self._below_end += below
-            self._above_start -= b - a - above
-            # the window holds hi - lo + n * wraps points, the point itself once
-            counts = self._counts[a:b]
-            np.subtract(hi, lo, out=counts)
-            counts -= 1
-            counts[:below] += n
-            counts[above:] += n
+        # x_i - eps < 0 for i < _below_end, x_i + eps >= 1 for i >= _above_start
+        self._below_end = bisect_left(x, True, key=lambda v: v - eps >= 0.0)
+        self._above_start = bisect_left(x, True, key=lambda v: v + eps >= 1.0)
+        _run_blocks(n, self._init_span, _merge_buffers)
+
+    def _wrap_ends(self, a, b):
+        """Ends of the wrapped prefix and suffix, relative to the span [a, b)."""
+        below = min(max(self._below_end - a, 0), b - a)
+        above = min(max(self._above_start - a, 0), b - a)
+        return below, above
+
+    def _init_span(self, a, b, work):
+        x, eps, n = self.x, self.eps, self.n
+        lo, hi, counts = self._lo_rem[a:b], self._hi_rem[a:b], self._counts[a:b]
+        below, above = self._wrap_ends(a, b)
+        _merge_searchsorted(x, x[a : a + below], -eps, 1.0, "right", lo[:below], *work)
+        _merge_searchsorted(x, x[a + below : b], -eps, 0.0, "right", lo[below:], *work)
+        _merge_searchsorted(x, x[a : a + above], eps, 0.0, "left", hi[:above], *work)
+        _merge_searchsorted(x, x[a + above : b], eps, -1.0, "left", hi[above:], *work)
+        # the window holds hi - lo + n * wraps points, the point itself once
+        np.subtract(hi, lo, out=counts)
+        counts -= 1
+        counts[:below] += n
+        counts[above:] += n
 
     @property
     def degrees(self):
@@ -307,17 +393,15 @@ class IntervalLaplacian:
         total = cum[-1]
         scale = 2.0 / (n * eps**2)
         out = np.empty(n)
-        tmp = np.empty(min(n, BLOCK))
-        for a in range(0, n, BLOCK):
-            b = min(a + BLOCK, n)
+
+        def apply_span(a, b, tmp):
             o, t, ub = out[a:b], tmp[: b - a], u[a:b]
             cum.take(self._hi_rem[a:b], out=o, mode="clip")
             cum.take(self._lo_rem[a:b], out=t, mode="clip")
             o -= t
             # + wraps * total: once on the prefix and the suffix of wrapped
             # windows, 0 * total between them, or 2 * total where they overlap
-            below = min(max(self._below_end - a, 0), b - a)
-            above = min(max(self._above_start - a, 0), b - a)
+            below, above = self._wrap_ends(a, b)
             first, last = sorted((below, above))
             o[:first] += total
             o[first:last] += (2.0 if above < below else 0.0) * total
@@ -328,4 +412,6 @@ class IntervalLaplacian:
             t *= ub
             np.subtract(t, o, out=o)
             o *= scale
+
+        _run_blocks(n, apply_span, np.empty)
         return out

@@ -574,8 +574,9 @@ class TestExitCodes:
 
 
 def fake_pool(monkeypatch, cpus):
-    """Sizes of the pools the CLI opens, with os.cpu_count() = cpus; the
-    fake pool maps in this process."""
+    """Sizes of the pools the CLI opens, with cpus available to the process
+    (None: the platform reports neither an affinity mask nor a CPU count);
+    the fake pool maps in this process."""
     sizes = []
 
     class FakePool:
@@ -592,7 +593,11 @@ def fake_pool(monkeypatch, cpus):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(cli, "Pool", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(cli, "available_cpus", lambda: cpus)
     return sizes
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from polylap import graph as graph_module
 from polylap.continuum import (
     FourierFunction,
     GridField,
@@ -91,7 +92,8 @@ class TestEvaluateWith:
         assert same_bits(self.G.evaluate(x), evaluate_reference(self.G, x))
 
     def test_bitwise_d2_and_derived_subset(self):
-        # points in blocks: each block's x @ k must be bitwise the full product
+        # points in blocks, shared by one or two workers: each block's x @ k
+        # must be bitwise the full product
         n = 3 * BLOCK + 17
         for zero, cos_k, sin_k, both_k in [
             ((0, 0), (1, 0), (0, 2), (1, 1)),
@@ -104,9 +106,12 @@ class TestEvaluateWith:
             lap = continuum_laplacian_uniform(f, SIGMA1, 2)  # drops the constant mode
             cos_only = f.map_modes(lambda k: 0.0 if k == sin_k else 3.0)
             x = sample_cloud(UNIFORM, n, d, 4)
-            outs = f.evaluate_with(x, lap, cos_only)
-            for fn, got in zip((f, lap, cos_only), outs):
-                assert same_bits(got, evaluate_reference(fn, x))
+            for workers in (1, 2):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(graph_module, "WORKERS", workers)
+                    outs = f.evaluate_with(x, lap, cos_only)
+                for fn, got in zip((f, lap, cos_only), outs):
+                    assert same_bits(got, evaluate_reference(fn, x))
 
     def test_validation(self):
         a = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 1.0)])

@@ -2,12 +2,15 @@
 
 import csv
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from polylap import experiments as xp
+from polylap import graph as graph_module
 from polylap.continuum import FourierFunction, nonlocal_laplacian
 from polylap.experiments import (
     RECORD_FIELDS,
@@ -257,6 +260,23 @@ class TestRateSweep:
         for slope in (res.slope_vs_n, res.slope_vs_n_stderr, res.slope_vs_rate,
                       res.slope_vs_rate_stderr):
             assert math.isnan(slope)
+
+    def test_forked_workers_after_block_threads(self, monkeypatch, tmp_path):
+        # block-loop threads do not survive fork: a worker forked once this
+        # process runs its pool must start its own, or a trial with more than
+        # one BLOCK of points would wait forever on the parent's threads
+        monkeypatch.setattr(graph_module, "WORKERS", 2)
+        IntervalLaplacian(np.arange(2 * BLOCK) / (2 * BLOCK), 0.1)
+        assert graph_module._pool[0] == os.getpid()
+        sch = Schedule(d=1, s=1, n_grid=(BLOCK + 1, 2 * BLOCK))
+        args = (sch, G_DEFAULT, NoiseSpec("gaussian", 0.1), 2, 3)
+        with multiprocessing.get_context("fork").Pool(2) as pool:
+            forked = rate_sweep(*args, map_fn=lambda fn, cfgs: pool.map_async(fn, cfgs).get(120))
+        serial = rate_sweep(*args)
+        assert forked.failure_count == 0 and len(forked.records) == 4
+        write_records_csv(forked.records, tmp_path / "forked.csv")
+        write_records_csv(serial.records, tmp_path / "serial.csv")
+        assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_median_slope_skips_empty_keys(self):
         # a grid key whose trials all failed has no pairs: it is left out of

@@ -1,6 +1,8 @@
 """Graph construction, matrix-free Laplacian application, and energies."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +115,20 @@ def assert_csr_matches_coo_assembly(points, eps, kernel=INDICATOR):
     assert np.array_equal(copy.indptr, g.indptr) and np.array_equal(copy.indices, g.indices)
     assert_bitwise(copy.data, g.weights)
     return g
+
+
+class TestAvailableCpus:
+    def test_affinity_mask_over_cpu_count(self, monkeypatch):
+        # as under taskset -c 0 on a two-CPU host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert graph_module.available_cpus() == 1
+
+    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, cpus):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert graph_module.available_cpus() == cpus
 
 
 class TestBuildGraph:
@@ -490,13 +506,19 @@ def assert_bitwise(got, ref):
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
-def assert_matches_reference(x, eps, signals):
-    il, ref = IntervalLaplacian(x, eps), IntervalReference(x, eps)
-    assert np.array_equal(il._lo_rem, ref.lo) and np.array_equal(il._hi_rem, ref.hi)
-    assert_bitwise(il.neighbor_counts(), ref.counts)
-    assert_bitwise(il.degrees, ref.degrees)
-    for u in signals:
-        assert_bitwise(il.apply(u), ref.apply(u))
+def assert_matches_reference(x, eps, signals, workers=(1, 2)):
+    """IntervalLaplacian(x, eps) against the reference, bitwise, with each
+    worker count of the block loops."""
+    ref = IntervalReference(x, eps)
+    for count in workers:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "WORKERS", count)
+            il = IntervalLaplacian(x, eps)
+            assert np.array_equal(il._lo_rem, ref.lo) and np.array_equal(il._hi_rem, ref.hi)
+            assert_bitwise(il.neighbor_counts(), ref.counts)
+            assert_bitwise(il.degrees, ref.degrees)
+            for u in signals:
+                assert_bitwise(il.apply(u), ref.apply(u))
     return il, ref
 
 
@@ -512,17 +534,17 @@ class TestMergeSearchsorted:
         x=st.lists(UNIT_FLOATS, min_size=1, max_size=40),
         q=st.lists(UNIT_FLOATS, max_size=40),
         side=st.sampled_from(["left", "right"]),
-        block=st.integers(1, 9),
+        shift_wrap=st.sampled_from([(0.0, 0.0), (-0.0, 1.0), (0.25, 0.0), (0.25, -0.25)]),
+        cap=st.integers(1, 9),
     )
-    def test_matches_searchsorted(self, x, q, side, block):
-        # a small BLOCK splits the slices and query runs into many merges
+    def test_matches_searchsorted(self, x, q, side, shift_wrap, cap):
+        # a small cap splits the slices and query runs into many merges
         x, q = np.array(sorted(x)), np.array(sorted(q))
+        shift, wrap = shift_wrap
         out = np.full(q.size, -1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_module, "BLOCK", block)
-            work = np.empty(2 * block, np.uint64), np.empty(2 * block, bool), np.arange(block)
-            graph_module._merge_searchsorted(x, q, side, out, *work)
-        assert np.array_equal(out, np.searchsorted(x, q, side))
+        work = graph_module._merge_buffers(cap)
+        graph_module._merge_searchsorted(x, q, shift, wrap, side, out, *work)
+        assert np.array_equal(out, np.searchsorted(x, (q + shift) + wrap, side))
 
 
 # three full blocks and a partial one
@@ -595,6 +617,22 @@ class TestIntervalApplyBitwise:
             assert ref.wraps[BLOCK - 1] == ref.wraps[BLOCK] == 1
             assert ref.wraps[2 * BLOCK - 1] == ref.wraps[2 * BLOCK] == 1
 
+    def test_more_workers_than_cpus(self):
+        # eight threads that switch every microsecond share the span counter;
+        # a span taken twice or never would leave a window end unwritten
+        x = sample_cloud(UNIFORM, N_BLOCKS, 1, 80)[:, 0]
+        signal = make_rng(81).standard_normal(N_BLOCKS)
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_pool", None)
+            sys.setswitchinterval(1e-6)
+            try:
+                assert_matches_reference(x, 0.05, [signal], workers=[8])
+            finally:
+                sys.setswitchinterval(interval)
+                if graph_module._pool is not None:  # the eight-worker pool
+                    graph_module._pool[1].shutdown()
+
     @pytest.mark.parametrize("eps", [1 / 64, 0.125, 0.3, 0.5])
     def test_grid_with_ties_across_blocks(self, eps):
         # 1/64-grid points: many equal coordinates, and pairs at distance
@@ -618,6 +656,14 @@ class TestIntervalApplyBitwise:
         with np.errstate(invalid="ignore", over="ignore"):
             _, ref = assert_matches_reference(x, 0.5, signals)
         assert np.any(ref.wraps == 2)
+
+    def test_non_finite_signals_keep_callers_errstate(self):
+        # the pool threads run under the caller's NumPy error state: an inf
+        # early in u makes every later prefix sum inf and inf - inf invalid
+        x = sample_cloud(UNIFORM, N_BLOCKS, 1, 82)[:, 0]
+        signals = [np.where(np.arange(N_BLOCKS) == k, np.inf, 1.0) for k in (5, 2 * BLOCK)]
+        with np.errstate(invalid="ignore"):
+            assert_matches_reference(x, 0.05, signals)
 
     def test_signed_zeros(self):
         # -0.0 equals +0.0 as a coordinate, and x - eps or x + eps - 1 is
@@ -669,26 +715,33 @@ class TestIntervalApplyBitwise:
             op = IntervalLaplacian(x, 0.05)
             return op.apply(np.sin(2 * np.pi * op.x))
 
-        _, peak = traced_peak(init_and_apply)
-        assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{peak / n:.2f} B/pt"
+        for workers in (1, 2):  # the workers' buffers share one block's room
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph_module, "WORKERS", workers)
+                _, peak = traced_peak(init_and_apply)
+            assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{workers}: {peak / n:.2f} B/pt"
 
     def test_memory_budget_clustered(self, traced_peak):
         # 99% of the points in [0, 1e-3): the windows of the sparse points
         # reach into the cluster, whose slice the merge takes BLOCK points at
         # a time.  The init alone holds the operator's 20 B/pt and its
-        # block-sized buffers (about 42 * BLOCK bytes), whatever the density
+        # block-sized buffers (about 34 * BLOCK bytes, split among the
+        # workers), whatever the density
         n = 1_000_000
         rng = make_rng(78)
         x = np.concatenate([rng.random(n - n // 100) * 1e-3, rng.random(n // 100)])
-        _, init_peak = traced_peak(IntervalLaplacian, x, 0.05)
-        assert init_peak <= 20 * n + 48 * BLOCK, f"{init_peak / n:.2f} B/pt"
 
         def init_and_apply():
             op = IntervalLaplacian(x, 0.05)
             return op.apply(np.sin(2 * np.pi * op.x))
 
-        _, peak = traced_peak(init_and_apply)
-        assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{peak / n:.2f} B/pt"
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph_module, "WORKERS", workers)
+                _, init_peak = traced_peak(IntervalLaplacian, x, 0.05)
+                _, peak = traced_peak(init_and_apply)
+            assert init_peak <= 20 * n + 48 * BLOCK, f"{workers}: {init_peak / n:.2f} B/pt"
+            assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{workers}: {peak / n:.2f} B/pt"
 
     def test_input_not_modified(self):
         u = make_rng(73).standard_normal(200)
