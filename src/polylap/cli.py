@@ -199,17 +199,20 @@ def cmd_denoise(params, dry_run):
     check_eps(eps)
     if s < 1:  # the CG path solves integer powers s >= 1
         raise ValidationError(f"s must be >= 1, got {s}")
-    if dry_run:
-        return {"command": "denoise", "d": d, "s": s, "eps": eps, "tau": tau}
-
-    if "input_csv" in params:
-        points, y = _load_points_csv(params["input_csv"], d)
-    else:
+    csv = params.get("input_csv")
+    if csv is None:  # the generated cloud's keys, checked by the dry run too
         n = _param(params, "n", int)
         g = parse_modes(params["modes"], d)
         noise = parse_noise(params)
-        points = sample_cloud(parse_density(params), n, d, seed)
+        density = parse_density(params)
+    if dry_run:
+        return {"command": "denoise", "d": d, "s": s, "eps": eps, "tau": tau}
+
+    if csv is None:
+        points = sample_cloud(density, n, d, seed)
         y = xp.gen_labels(g, points, noise, xp.derive_seed(seed, 1))
+    else:
+        points, y = _load_points_csv(csv, d)
 
     op, _, order = xp.make_operator(points, eps, kernel, want_order=True)
     y_op = y if order is None else y[order]
@@ -302,7 +305,16 @@ def cmd_consistency(params, dry_run):
         u, s, eps_grid, rule, trials, seed, **_given(params, int, "n_cap")
     )
     xp.write_records_csv(result.records, os.path.join(_outdir(params), "records.csv"))
-    return {"slope": result.slope, "stderr": result.slope_stderr, "config": resolved}
+    # the total's slope sits near 2 (the O(eps^2) nonlocal bias dominates);
+    # the O(eps) operator consistency is the stochastic part's slope
+    return {
+        "slope": result.slope,
+        "stderr": result.slope_stderr,
+        "stochastic_slope": result.stochastic_slope,
+        "stochastic_stderr": result.stochastic_slope_stderr,
+        "nonlocal_bias": [result.nonlocal_bias[e] for e in eps_grid],
+        "config": resolved,
+    }
 
 
 def cmd_degrees(params, dry_run):
@@ -312,13 +324,12 @@ def cmd_degrees(params, dry_run):
     check_eps(eps)
     trials = _param(params, "trials", int, 10)
     seed = _param(params, "seed", int, 0)
+    density, kernel = parse_density(params), parse_kernel(params)
+    cap_kw = _given(params, float, "cap_mult")
     resolved = {"command": "degrees", "n": n, "d": d, "eps": eps, "trials": trials}
     if dry_run:
         return resolved
-    summary = xp.degree_concentration_check(
-        n, d, eps, parse_density(params), parse_kernel(params), trials, seed,
-        **_given(params, float, "cap_mult"),
-    )
+    summary = xp.degree_concentration_check(n, d, eps, density, kernel, trials, seed, **cap_kw)
     return {**asdict(summary), "config": resolved}
 
 
@@ -327,19 +338,21 @@ def cmd_spectrum(params, dry_run):
     eps = _param(params, "eps", float)
     check_eps(eps)
     seed = _param(params, "seed", int, 0)
+    kernel = parse_kernel(params)
     if "input_csv" in params:
         points, _ = _load_points_csv(params["input_csv"], d)
         n = len(points)
     else:
         points, n = None, _param(params, "n", int, 100)
+        density = parse_density(params)
     if n > DENSE_THRESHOLD:  # before any cloud is sampled or operator built
         raise ValidationError(f"n={n} exceeds the dense spectrum threshold {DENSE_THRESHOLD}")
-    if points is None:
-        points = sample_cloud(parse_density(params), n, d, seed)
     resolved = {"command": "spectrum", "d": d, "eps": eps, "n": n}
     if dry_run:
         return resolved
-    op, _, _ = xp.make_operator(points, eps, parse_kernel(params))
+    if points is None:
+        points = sample_cloud(density, n, d, seed)
+    op, _, _ = xp.make_operator(points, eps, kernel)
     vals, _ = dense_spectrum(op)
     return {"eigenvalues": [float(v) for v in vals], "config": resolved}
 

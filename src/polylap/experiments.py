@@ -30,7 +30,7 @@ from .continuum import (
     continuum_solve_uniform,
     exact_bias,
     mode_multiplier,
-    nonlocal_laplacian,
+    nonlocal_multiplier,
 )
 from .geometry import (
     INDICATOR,
@@ -41,6 +41,7 @@ from .geometry import (
     make_rng,
     sample_cloud,
     sigma_eta,
+    unit_ball_volume,
 )
 from .graph import (
     IntervalLaplacian,
@@ -367,22 +368,6 @@ class ConsistencyResult:
     stochastic_slope_stderr: float
 
 
-def _nonlocal_multipliers(u: FourierFunction, eps, s):
-    """Mode k -> multiplier of Delta_eps^s under the uniform density.
-
-    Delta_eps is translation invariant there, so its multiplier is its value
-    on cos(2 pi k.x) at x = 0 (the quadrature of nonlocal_laplacian).
-    """
-    origin = np.zeros(u.d)
-    return {
-        k: nonlocal_laplacian(
-            FourierFunction.from_modes(u.d, [(k, 1.0, 0.0)]), UNIFORM, eps, INDICATOR, origin
-        )
-        ** s
-        for k in u.modes
-    }
-
-
 def _median_slope(grid, pairs, x_of):
     """OLS slope and stderr of log(median value) against x_of(key) over the
     grid keys that have (key, value) pairs; NaN for a degenerate fit (fewer
@@ -414,9 +399,7 @@ def consistency_sweep(
     are modewise-exact there).  The total is dominated by the O(eps^2)
     nonlocal bias of the symmetric kernel, so its slope against eps sits
     near 2; the O(eps) operator consistency is checked by the slope of the
-    stochastic part ||Delta_n^s u - Delta_eps^s u||.  For d >= 2 the
-    quadrature of nonlocal_laplacian limits the accuracy of Delta_eps^s u
-    (see there).
+    stochastic part ||Delta_n^s u - Delta_eps^s u||.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -430,7 +413,7 @@ def consistency_sweep(
         n = n_rule(eps)
         if n > n_cap:
             raise MemoryError(f"n(eps={eps}) = {n} exceeds the cap {n_cap}")
-        mult = _nonlocal_multipliers(u, eps, s)
+        mult = {k: nonlocal_multiplier(k, eps) ** s for k in u.modes}
         nonlocal_bias[float(eps)] = u.map_modes(
             lambda k: mult[k] - mode_multiplier(k, sigma, s)
         ).l2_norm_uniform()
@@ -474,10 +457,6 @@ class DegreeSummary:
     max_neighbor_count: int
     neighbor_cap: float
     within_cap: bool
-
-
-def unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 def degree_concentration_check(

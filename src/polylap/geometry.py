@@ -159,11 +159,16 @@ def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> np.ndarray:
     return np.concatenate(chunks)[:n]
 
 
+def unit_ball_volume(d: int) -> float:
+    """omega_d, the unit ball's volume: the unit sphere's area over d."""
+    return float(2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0) / d)
+
+
 def sigma_eta(kernel: KernelProfile, d: int) -> float:
     """Second moment of the kernel: integral of eta(|h|) h_1^2 over R^d.
 
     In polar coordinates this is the integral of omega_1^2 over the unit
-    sphere, 2 pi^(d/2) / (Gamma(d/2) d), times the radial integral of
+    sphere, unit_ball_volume(d), times the radial integral of
     eta(r) r^(d+1) over [0, 1].  Both profiles are linear on [0, 1/2] and on
     [1/2, 1], eta = alpha + beta r, so the radial integral is in closed form:
     the sum over the two pieces [a, b] of
@@ -174,11 +179,8 @@ def sigma_eta(kernel: KernelProfile, d: int) -> float:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    # integral of omega_1^2 over the unit sphere S^{d-1}
-    surface = 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
-    angular = surface / d
     radial = 0.0
     for (a, b), (alpha, beta) in zip(((0.0, 0.5), (0.5, 1.0)), _LINEAR_PIECES[kernel.kind]):
         radial += (alpha * (b ** (d + 2) - a ** (d + 2)) / (d + 2)
                    + beta * (b ** (d + 3) - a ** (d + 3)) / (d + 3))
-    return angular * radial
+    return unit_ball_volume(d) * radial

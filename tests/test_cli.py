@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from polylap import cli
+from polylap import experiments as xp
 from polylap.experiments import NoiseSpec, derive_seed, gen_labels, make_operator
 from polylap.geometry import INDICATOR, UNIFORM, sample_cloud
 from polylap.graph import build_graph
@@ -55,6 +56,19 @@ class TestDryRun:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["n_grid"] == [1024, 2048]
         assert len(resolved["eps"]) == 2
+
+    def test_spectrum_dry_run_samples_no_cloud(self, refuse, capsys):
+        refuse("sample_cloud")
+        assert run_cli("spectrum", "--dry-run", "--eps=0.2", "--n=50") == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 50
+
+    def test_denoise_input_csv_skips_cloud_keys(self, tmp_path, capsys):
+        # with input_csv the real run reads no n, modes, noise or density,
+        # so neither does the dry run
+        argv = ["denoise", "--eps=0.2", "--n=abc", "--modes=garbage", "--noise=bogus",
+                f"--input-csv={tmp_path / 'absent.csv'}", "--dry-run"]
+        assert run_cli(*argv) == 0
+        assert json.loads(capsys.readouterr().out)["eps"] == 0.2
 
 
 class TestDenoise:
@@ -172,6 +186,70 @@ class TestDenoise:
         assert "validation error" in err and "finite" in err
 
 
+class TestInputCsv:
+    """The input_csv path of denoise and spectrum: a header line, then one
+    row of d coordinates and a label per point."""
+
+    @pytest.fixture
+    def csv_400(self, tmp_path):
+        # 400 unsorted d=1 points, the first at -1e-17 (x % 1.0 rounds it to 1.0)
+        rng = np.random.default_rng(7)
+        x = rng.random(400)
+        x[0] = -1e-17
+        y = np.sin(2.0 * np.pi * x) + 0.1 * rng.standard_normal(400)
+        path = tmp_path / "in.csv"
+        rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+        path.write_text("x1,y\n" + rows)
+        return path, x, y
+
+    def test_denoise_keeps_row_order(self, tmp_path, csv_400):
+        path, x, y = csv_400
+        out = tmp_path / "out"
+        assert run_cli("denoise", "--eps=0.05", "--tau=0.01", f"--input-csv={path}",
+                       "--out", str(out)) == 0
+        rows = [line.split(",") for line in (out / "records.csv").read_text().splitlines()]
+        assert rows[0] == ["x1", "y", "u"]
+        assert [float(r[0]) for r in rows[2:]] == x[1:].tolist()
+        assert [float(r[1]) for r in rows[1:]] == y.tolist()
+        assert json.loads((out / "summary.json").read_text())["solver_iterations"] > 0
+
+    def test_tiny_negative_point_wraps_to_zero(self, tmp_path, csv_400):
+        path, _, _ = csv_400
+        out = tmp_path / "out"
+        assert run_cli("denoise", "--eps=0.05", f"--input-csv={path}", "--out", str(out)) == 0
+        assert (out / "records.csv").read_text().splitlines()[1].split(",")[0] == "0.0"
+
+    def test_spectrum(self, tmp_path, csv_400):
+        path, _, _ = csv_400
+        out = tmp_path / "out"
+        assert run_cli("spectrum", "--eps=0.05", f"--input-csv={path}", "--out", str(out)) == 0
+        vals = json.loads((out / "summary.json").read_text())["eigenvalues"]
+        assert len(vals) == 400
+        assert abs(vals[0]) < 1e-8 and all(v > -1e-8 for v in vals)
+
+    def test_nan_label(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("x1,y\n0.1,1.0\n0.2,nan\n0.4,0.0\n")
+        assert run_cli("denoise", "--eps=0.2", f"--input-csv={path}",
+                       "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "validation error: labels must be finite\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body, where", [
+        ("x1,y\n0.1,1.0\n0.2,0.5,9\n", ":3: expected 2 fields"),
+        ("x1,y\n0.1,1.0\n0.2,0.5\nabc,0.1\n", ":4: non-numeric field"),
+        ("x1,y\n", " contains no data rows"),
+    ], ids=["ragged", "non-numeric", "header-only"])
+    @pytest.mark.parametrize("command", ["denoise", "spectrum"])
+    def test_malformed_file_named(self, tmp_path, capsys, body, where, command):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        assert run_cli(command, "--eps=0.2", f"--input-csv={path}",
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and str(path) in err and where in err
+
+
 class TestSweepCommand:
     CONFIG = """
 [sweep]
@@ -269,7 +347,7 @@ class TestOtherCommands:
             (["sweep", "--n_grid=64", "--trials=1", "--threads=1"],
              ["slope", "stderr", "slope_vs_n", "slope_vs_n_stderr"]),
             (["consistency", "--eps_grid=0.3", "--trials=1", "--k_mult=0.5"],
-             ["slope", "stderr"]),
+             ["slope", "stderr", "stochastic_slope", "stochastic_stderr"]),
         ],
     )
     def test_undefined_slopes_are_strict_json_null(self, tmp_path, capsys, argv, slopes):
@@ -280,6 +358,21 @@ class TestOtherCommands:
         for text in ((tmp_path / "summary.json").read_text(), capsys.readouterr().out):
             summary = json.loads(text, parse_constant=reject)
             assert all(summary[key] is None for key in slopes)
+
+    def test_consistency_summary_splits_the_total(self, tmp_path):
+        # the total's slope sits near 2; the O(eps) part and the nonlocal
+        # bias per eps are reported beside it, as the library computes them
+        argv = ["consistency", "--eps_grid=0.3,0.2", "--trials=2", "--k_mult=0.5"]
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        res = xp.consistency_sweep(
+            cli.parse_modes("1:0.0:1.0", 1), 1, [0.3, 0.2], xp.default_n_rule(0.5, 1, 1), 2, 0
+        )
+        assert summary["config"]["eps_grid"] == [0.3, 0.2]
+        assert summary["nonlocal_bias"] == [res.nonlocal_bias[0.3], res.nonlocal_bias[0.2]]
+        assert summary["stochastic_slope"] == res.stochastic_slope
+        assert summary["stochastic_stderr"] == res.stochastic_slope_stderr
+        assert summary["slope"] == res.slope
 
     def test_consistency_constant_modes(self, tmp_path):
         out = tmp_path / "out"
@@ -571,6 +664,29 @@ class TestExitCodes:
         argv = [*argv, "--eps=nan", "--out", str(tmp_path)]
         assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 1
         assert capsys.readouterr().err == "validation error: eps=nan must lie in (0, 1/2]\n"
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (["denoise", "--n=abc", "--modes=1:1:0"], "parameter 'n' must be an integer, got 'abc'"),
+        (["denoise", "--n=40", "--modes=garbage"], "bad mode entry 'garbage' (want k:a:b)"),
+        (["denoise", "--n=40", "--modes=1:1:0", "--noise=bogus"],
+         "unknown noise kind 'bogus'"),
+        (["denoise", "--n=40", "--modes=1:1:0", "--density=bogus"], "unknown density 'bogus'"),
+        (["degrees", "--n=200", "--density=bogus"], "unknown density 'bogus'"),
+        (["degrees", "--n=200", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
+        (["degrees", "--n=200", "--cap_mult=x"], "parameter 'cap_mult' must be a number, got 'x'"),
+        (["spectrum", "--n=50", "--density=bogus"], "unknown density 'bogus'"),
+        (["spectrum", "--n=50", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
+    ], ids=["denoise-n", "denoise-modes", "denoise-noise", "denoise-density",
+            "degrees-density", "degrees-kernel", "degrees-cap", "spectrum-density",
+            "spectrum-kernel"])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_dry_run_checks_what_the_run_checks(self, tmp_path, capsys, argv, message, dry_run):
+        # each of these dry runs exited 0 although the real run exits 1
+        argv = [*argv, "--eps=0.2", "--out", str(tmp_path / "out")]
+        assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def fake_pool(monkeypatch, cpus):

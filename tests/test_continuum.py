@@ -16,6 +16,7 @@ from polylap.continuum import (
     grid_points,
     mode_multiplier,
     nonlocal_laplacian,
+    nonlocal_multiplier,
     pseudo_spectral_continuum_laplacian,
     sample_on_grid,
 )
@@ -237,6 +238,60 @@ class TestNonlocalLaplacian:
                 nonlocal_laplacian(cos1(), UNIFORM, eps, INDICATOR, [0.0])
         with pytest.raises(ValueError):
             nonlocal_laplacian(cos1(), UNIFORM, 0.1, INDICATOR, [0.0], quad_m=4)
+
+
+def ball_transform_polar(t, d):
+    """Integral of cos(2 pi t z_1) over the unit ball, d = 2 or 3, by polar
+    quadrature: Gauss-Legendre in the radius, and in the angle the trapezoid
+    rule (d = 2) or Gauss-Legendre in cos(theta) (d = 3)."""
+    r, wr = np.polynomial.legendre.leggauss(48)
+    r, wr = (r + 1.0) / 2.0, wr / 2.0
+    if d == 2:
+        theta = 2.0 * np.pi * np.arange(64) / 64
+        inner = 2.0 * np.pi * np.mean(np.cos(2.0 * np.pi * t * np.outer(r, np.cos(theta))), axis=1)
+        return float(np.sum(wr * r * inner))
+    c, wc = np.polynomial.legendre.leggauss(48)
+    inner = 2.0 * np.pi * np.cos(2.0 * np.pi * t * np.outer(r, c)) @ wc
+    return float(np.sum(wr * r * r * inner))
+
+
+class TestNonlocalMultiplier:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_matches_quadrature_d1(self, k, eps):
+        # the d=1 tensor quadrature is spectrally accurate: the support fills
+        # the cube
+        g = FourierFunction.from_modes(1, [((k,), 1.0, 0.0)])
+        want = nonlocal_laplacian(g, UNIFORM, eps, INDICATOR, [0.0], quad_m=64)
+        assert nonlocal_multiplier((k,), eps) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [(1, 0), (1, 1), (2, 1), (1, 0, 0), (1, 1, 0), (1, 1, 1)])
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_matches_polar_quadrature(self, k, eps):
+        d = len(k)
+        ball = {2: math.pi, 3: 4.0 * math.pi / 3.0}[d]
+        t = math.sqrt(sum(c * c for c in k)) * eps
+        want = 2.0 / eps**2 * (ball - ball_transform_polar(t, d))
+        assert nonlocal_multiplier(k, eps) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_strictly_below_local(self, d):
+        # 1 - cos(x) < x^2 / 2 for x != 0, averaged over the ball
+        sigma = sigma_eta(INDICATOR, d)
+        for k in [(1,) + (0,) * (d - 1), (1,) * d, (3,) + (0,) * (d - 1)]:
+            for eps in (0.5, 0.2, 0.1, 0.05, 0.01):
+                m = nonlocal_multiplier(k, eps)
+                assert 0.0 < m < mode_multiplier(k, sigma, 1), (k, eps)
+
+    def test_zero_mode_exactly_zero(self):
+        for d in (1, 2, 3):
+            m = nonlocal_multiplier((0,) * d, 0.1)
+            assert m == 0.0 and type(m) is float
+
+    @pytest.mark.parametrize("eps", [0.0, 0.6, float("nan")])
+    def test_eps_validated(self, eps):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\]"):
+            nonlocal_multiplier((1,), eps)
 
 
 class TestPseudoSpectral:

@@ -8,10 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from polylap import experiments as xp
 from polylap import graph as graph_module
-from polylap.continuum import FourierFunction, nonlocal_laplacian
+from polylap.continuum import FourierFunction, nonlocal_multiplier
 from polylap.experiments import (
     RECORD_FIELDS,
     ExperimentRecord,
@@ -320,14 +321,25 @@ class TestConsistencySweep:
         cloud = sample_cloud(UNIFORM, n, 1, derive_seed(5, 0, 0))
         op = IntervalLaplacian(cloud[:, 0], eps)
         nodes = op.x.reshape(-1, 1)
-        ref_eps = u.map_modes(
-            lambda k: nonlocal_laplacian(
-                FourierFunction.from_modes(1, [(k, 1.0, 0.0)]), UNIFORM, eps, INDICATOR, [0.0]
-            )
-            ** s
-        )
+        ref_eps = u.map_modes(lambda k: nonlocal_multiplier(k, eps) ** s)
         lu = apply_poly_laplacian(op, u.evaluate(nodes), s)
         assert res.stochastic_err[0] == l2_mu_n(lu - ref_eps.evaluate(nodes))
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1])
+    def test_nonlocal_bias_closed_form_d2(self, eps):
+        # cos(2 pi x_1) + 0.5 sin(2 pi (x_1 + x_2)): Delta_eps multiplier
+        # (2/eps^2) (pi - J_1(2 pi r) / r), r = |k| eps, against the local
+        # sigma_eta 4 pi^2 |k|^2 = pi^3 |k|^2; the 64^2-node quadrature that
+        # gave the multipliers before was about 1.5% high
+        u = FourierFunction.from_modes(2, [((1, 0), 1.0, 0.0), ((1, 1), 0.0, 0.5)])
+        res = consistency_sweep(u, 1, [eps], lambda e: 200, 1, 0)
+        gaps = []
+        for k2 in (1, 2):
+            r = math.sqrt(k2) * eps
+            mult = 2.0 / eps**2 * (math.pi - special.j1(2.0 * math.pi * r) / r)
+            gaps.append(math.pi**3 * k2 - mult)
+        exact = math.sqrt(0.5 * gaps[0] ** 2 + 0.5 * (0.5 * gaps[1]) ** 2)
+        assert res.nonlocal_bias[eps] == pytest.approx(exact, rel=1e-12)
 
     def test_single_eps_nan_slopes(self):
         u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])

@@ -17,6 +17,7 @@ from polylap.geometry import (
     sample_cloud,
     sigma_eta,
     torus_distance,
+    unit_ball_volume,
 )
 
 
@@ -145,6 +146,14 @@ class TestSigmaEta:
         for kernel, radial in exact.items():
             want = angular * float(radial)
             assert abs(sigma_eta(kernel, d) - want) <= 4 * math.ulp(want), kernel.kind
+
+
+class TestUnitBallVolume:
+    def test_low_dimensions(self):
+        # 2 at d = 1 exactly; the Gamma(d/2 + 1) form gave 1.9999999999999998
+        assert unit_ball_volume(1) == 2.0 and type(unit_ball_volume(1)) is float
+        assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
+        assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
 
 
 class TestDensity:
