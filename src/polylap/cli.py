@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -23,10 +24,11 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import experiments as xp
+from .blocks import available_cpus
 from .continuum import FourierFunction
-from .geometry import UNIFORM, DensitySpec, KernelProfile, check_eps, sample_cloud
+from .geometry import UNIFORM, DensitySpec, KernelProfile, check_cloud, check_eps, sample_cloud
 from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
-from .graph import DENSE_THRESHOLD, available_cpus, dense_spectrum, dirichlet_energy, l2_mu_n
+from .graph import DENSE_THRESHOLD, dense_spectrum, dirichlet_energy, l2_mu_n
 from .solver import ResolventProblem, SolverError, check_residual, solve_resolvent
 
 EXIT_OK = 0
@@ -175,6 +177,8 @@ def _load_points_csv(path, d):
                 nums = [float(v) for v in vals]
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: non-numeric field")
+            if not math.isfinite(nums[d]):
+                raise ValidationError(f"{path}:{lineno}: non-finite label")
             points.append(nums[:d])
             labels.append(nums[d])
     if not points:
@@ -205,6 +209,7 @@ def cmd_denoise(params, dry_run):
         g = parse_modes(params["modes"], d)
         noise = parse_noise(params)
         density = parse_density(params)
+        check_cloud(density, n, d)
     if dry_run:
         return {"command": "denoise", "d": d, "s": s, "eps": eps, "tau": tau}
 
@@ -326,6 +331,7 @@ def cmd_degrees(params, dry_run):
     seed = _param(params, "seed", int, 0)
     density, kernel = parse_density(params), parse_kernel(params)
     cap_kw = _given(params, float, "cap_mult")
+    xp.check_degree_inputs(n, d, eps, density, trials, **cap_kw)
     resolved = {"command": "degrees", "n": n, "d": d, "eps": eps, "trials": trials}
     if dry_run:
         return resolved
@@ -347,6 +353,8 @@ def cmd_spectrum(params, dry_run):
         density = parse_density(params)
     if n > DENSE_THRESHOLD:  # before any cloud is sampled or operator built
         raise ValidationError(f"n={n} exceeds the dense spectrum threshold {DENSE_THRESHOLD}")
+    if points is None:
+        check_cloud(density, n, d)
     resolved = {"command": "spectrum", "d": d, "eps": eps, "n": n}
     if dry_run:
         return resolved

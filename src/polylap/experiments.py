@@ -37,6 +37,7 @@ from .geometry import (
     UNIFORM,
     DensitySpec,
     KernelProfile,
+    check_cloud,
     check_eps,
     make_rng,
     sample_cloud,
@@ -459,6 +460,21 @@ class DegreeSummary:
     within_cap: bool
 
 
+# neighbor cap of degree_concentration_check, in units of the mean count
+DEGREE_CAP_MULT = 10.0
+
+
+def check_degree_inputs(n, d, eps, density, trials, cap_mult=DEGREE_CAP_MULT):
+    """Reject what degree_concentration_check cannot run, in the order it
+    would fail on it."""
+    _check_multiplier("cap_mult", cap_mult)
+    if n * eps**d < 1.0:
+        raise ValueError("need n * eps^d >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    check_cloud(density, n, d)
+
+
 def degree_concentration_check(
     n: int,
     d: int,
@@ -467,18 +483,14 @@ def degree_concentration_check(
     kernel: KernelProfile,
     trials: int,
     base_seed: int,
-    cap_mult: float = 10.0,
+    cap_mult: float = DEGREE_CAP_MULT,
 ) -> DegreeSummary:
     """Degree min/max and neighbor-count cap across independent clouds.
 
     Requires n eps^d >= 1, the concentration regime.  The neighbor cap is
     cap_mult times the unit-ball volume factor times n eps^d.
     """
-    _check_multiplier("cap_mult", cap_mult)
-    if n * eps**d < 1.0:
-        raise ValueError("need n * eps^d >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_degree_inputs(n, d, eps, density, trials, cap_mult)
     lo, hi, cnt = math.inf, -math.inf, 0
     for t in range(trials):
         points = sample_cloud(density, n, d, derive_seed(base_seed, t))

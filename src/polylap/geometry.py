@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .blocks import BLOCK, run_blocks
+
 
 def check_eps(eps):
     """Reject a neighborhood radius outside (0, 1/2], NaN included: no pair of
@@ -127,20 +129,44 @@ def make_rng(seed, *path):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> np.ndarray:
-    """Draw n iid points from the density by rejection against rho_max, as an
-    (n, d) array on [0,1)^d.
-
-    Deterministic given the seed.  A proposal cap (1000x the expected number
-    needed) turns a malformed spec into an error instead of a hang.
-    """
+def check_cloud(spec: DensitySpec, n: int, d: int):
+    """Reject a cloud that sample_cloud cannot draw: n or d below 1, or a
+    density mode of another dimension than d."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if spec.kind == "cosine_bump" and len(spec.mode) != d:
         raise ValueError("mode vector length must equal d")
+
+
+def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> np.ndarray:
+    """Draw n iid points from the density, as an (n, d) array on [0,1)^d.
+
+    Deterministic given the seed.  A uniform cloud is bitwise
+    make_rng(seed).random((n, d)); beyond one BLOCK of coordinates the block
+    loops fill it span by span.  Philox is counter-based, with four raw
+    draws per counter step and one raw draw per double, so the span from
+    flat index a advances a fresh copy of the stream by a // 4 steps and
+    discards a % 4 draws.  Other densities are drawn serially by rejection
+    against rho_max; a proposal cap (1000x the expected number needed) turns
+    a malformed spec into an error instead of a hang.
+    """
+    check_cloud(spec, n, d)
     rng = make_rng(seed)
     if spec.kind == "uniform":
-        return rng.random((n, d))
+        if n * d <= BLOCK:
+            return rng.random((n, d))
+        seed_seq = rng.bit_generator.seed_seq
+        out = np.empty((n, d))
+        flat = out.reshape(-1)
+
+        def fill_span(a, b, _):
+            bits = np.random.Philox(seed_seq)
+            bits.advance(a // 4)
+            bits.random_raw(a % 4)
+            np.random.Generator(bits).random(out=flat[a:b])
+
+        run_blocks(n * d, fill_span, lambda size: None)
+        return out
 
     accept_rate = 1.0 / spec.rho_max  # mass is 1, proposals uniform
     max_proposals = int(1000 * n / accept_rate)

@@ -15,25 +15,23 @@ contiguous window in sorted order, so `IntervalLaplacian` applies the same
 operator in O(n) per product without storing any edges.  It is exactly
 equivalent to the explicit graph (tested) and is what makes the large-n
 sweeps fit in memory: it keeps 20 bytes per point and works in blocks of
-BLOCK points, so one apply peaks at about 44 bytes per point with its input,
-prefix sums and result.  Its construction finds the window ends in O(n) too:
-a block's shifted coordinates x - eps and x + eps are at most two ascending
-runs each, and each run is merged into the slice of sorted points that holds
-its answers by a stable sort of bit-pattern keys, with no binary search per
-point.  Beyond one block the block loops run on a thread pool of one worker
-per CPU this process may run on (`_run_blocks`); each worker's buffers are
-1/WORKERS of the serial set, so the bytes per point stay the same, and the
-results are bitwise those of the serial loop.  `experiments.make_operator` is the one place that picks between the
-two forms.  Both share one operator protocol: `n`, `eps`, `degrees`,
+`blocks.BLOCK` (2^16) points, so one apply peaks at about 44 bytes per point
+with its input, prefix sums and result.  Its construction finds the window
+ends in O(n) too: a block's shifted coordinates x - eps and x + eps are at
+most two ascending runs each, and each run is merged into the slice of
+sorted points that holds its answers by a stable sort of bit-pattern keys,
+with no binary search per point.  Beyond one block the block loops run on
+a thread pool of one worker per CPU this process may run on
+(`blocks.run_blocks`); each worker's buffers are 1/WORKERS of the serial
+set, so the bytes per point stay the same, and the results are bitwise
+those of the serial loop.  `experiments.make_operator` is the one place
+that picks between the two forms.  Both share one operator protocol: `n`, `eps`, `degrees`,
 `neighbor_counts()` and `apply(u)`.  All else here uses only that protocol,
 and so does the solver; `dense_spectrum` assembles its matrix from `apply`.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -41,78 +39,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from .blocks import run_blocks
 from .geometry import INDICATOR, KernelProfile, check_eps, torus_distance
 
 DENSE_THRESHOLD = 500
-# points per block of IntervalLaplacian's construction and apply, and of
-# FourierFunction.evaluate_with
-BLOCK = 1 << 15
-
-
-def available_cpus():
-    """CPUs this process may run on: its affinity mask, or os.cpu_count()
-    where the platform reports no mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# threads that share a block loop over more than one BLOCK of points
-WORKERS = available_cpus()
-_pool = None  # (pid, executor) of the block loops, made on first use
-
-
-def _block_pool():
-    """The block loops' thread pool, made on first use and again in a forked
-    child, which inherits the executor but none of its threads."""
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        # imported here: a cold import costs about 10 ms, which every run
-        # that never leaves one block would pay
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = os.getpid(), ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="polylap-block")
-    return _pool[1]
-
-
-def _run_blocks(n, task, make_work):
-    """task(a, b, work) over consecutive spans [a, b) that cover range(n).
-
-    Up to one BLOCK of points, or with one worker, the spans are blocks of
-    BLOCK run inline with one make_work(size) buffer set.  Otherwise WORKERS
-    threads, this one and WORKERS - 1 of the pool, each with its own buffer
-    set, take spans of BLOCK // WORKERS points from one shared counter until
-    none is left, so all buffer sets together are the size of the serial
-    one.  Each span writes only its own slices, and no point's arithmetic
-    depends on its span, so the results are bitwise those of the serial
-    loop for any worker count.  A pool thread runs in a copy of the caller's
-    context, which carries NumPy's error state.
-    """
-    workers = WORKERS if n > BLOCK else 1
-    span = BLOCK // workers
-    starts, lock = iter(range(0, n, span)), threading.Lock()
-
-    def drain(work):
-        while True:
-            with lock:
-                a = next(starts, None)
-            if a is None:
-                return
-            task(a, min(a + span, n), work)
-
-    if workers == 1:
-        drain(make_work(min(n, span)))
-        return
-    pool = _block_pool()
-    futures = [
-        pool.submit(contextvars.copy_context().run, drain, make_work(span))
-        for _ in range(workers - 1)
-    ]
-    try:
-        drain(make_work(span))
-    finally:
-        for future in futures:
-            future.result()
 
 
 def l2_mu_n(u):
@@ -314,14 +244,15 @@ class IntervalLaplacian:
     sorted order, so W u reduces to windowed prefix sums.  Signals are indexed
     in sorted-coordinate order.  The operator keeps 20 bytes per point (x and
     the int32 window ends and neighbor counts); construction and apply work
-    in blocks of BLOCK points, shared by the CPUs this process may run on
-    (`_run_blocks`), so an apply holds no other n-length array than u, the
-    prefix sums and its result.  Every worker holds its own buffers for
-    BLOCK // WORKERS points, so all of them together take what one serial
-    block does: about 34 * BLOCK bytes in the construction, 8 * BLOCK in an
-    apply.  The window ends of a block are found in O(BLOCK) by merging its
-    shifted coordinates, at most two ascending runs, into the sorted points
-    (`_merge_searchsorted`), not by one binary search per point.
+    in blocks of BLOCK = 2^16 points, shared by the CPUs this process may
+    run on (`blocks.run_blocks`), so an apply holds no other n-length array
+    than u, the prefix sums and its result.  Every worker holds its own
+    buffers for BLOCK // WORKERS points, so all of them together take what
+    one serial block does: about 34 * BLOCK bytes (2.2 MB) in the
+    construction, 8 * BLOCK (0.5 MB) in an apply.  The window ends of a
+    block are found in O(BLOCK) by merging its shifted coordinates, at most
+    two ascending runs, into the sorted points (`_merge_searchsorted`), not
+    by one binary search per point.
     """
 
     def __init__(self, points_1d, eps):
@@ -349,7 +280,7 @@ class IntervalLaplacian:
         # x_i - eps < 0 for i < _below_end, x_i + eps >= 1 for i >= _above_start
         self._below_end = bisect_left(x, True, key=lambda v: v - eps >= 0.0)
         self._above_start = bisect_left(x, True, key=lambda v: v + eps >= 1.0)
-        _run_blocks(n, self._init_span, _merge_buffers)
+        run_blocks(n, self._init_span, _merge_buffers)
 
     def _wrap_ends(self, a, b):
         """Ends of the wrapped prefix and suffix, relative to the span [a, b)."""
@@ -413,5 +344,5 @@ class IntervalLaplacian:
             np.subtract(t, o, out=o)
             o *= scale
 
-        _run_blocks(n, apply_span, np.empty)
+        run_blocks(n, apply_span, np.empty)
         return out

@@ -232,7 +232,8 @@ class TestInputCsv:
         path.write_text("x1,y\n0.1,1.0\n0.2,nan\n0.4,0.0\n")
         assert run_cli("denoise", "--eps=0.2", f"--input-csv={path}",
                        "--out", str(tmp_path / "out")) == 1
-        assert capsys.readouterr().err == "validation error: labels must be finite\n"
+        # named like every other CSV error: by file and line
+        assert capsys.readouterr().err == f"validation error: {path}:3: non-finite label\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("body, where", [
@@ -677,9 +678,17 @@ class TestExitCodes:
         (["degrees", "--n=200", "--cap_mult=x"], "parameter 'cap_mult' must be a number, got 'x'"),
         (["spectrum", "--n=50", "--density=bogus"], "unknown density 'bogus'"),
         (["spectrum", "--n=50", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
+        # checks of the library: sample_cloud's and degree_concentration_check's
+        (["denoise", "--n=0", "--modes=1:1:0"], "need n >= 1 and d >= 1"),
+        (["spectrum", "--n=0"], "need n >= 1 and d >= 1"),
+        (["denoise", "--d=1", "--n=10", "--modes=1:1:0", "--density=cosine_bump",
+          "--density_mode=1,1"], "mode vector length must equal d"),
+        (["degrees", "--trials=0"], "trials must be >= 1"),
+        (["degrees", "--n=10", "--d=2"], "need n * eps^d >= 1"),
     ], ids=["denoise-n", "denoise-modes", "denoise-noise", "denoise-density",
             "degrees-density", "degrees-kernel", "degrees-cap", "spectrum-density",
-            "spectrum-kernel"])
+            "spectrum-kernel", "denoise-n-zero", "spectrum-n-zero", "denoise-density-mode",
+            "degrees-trials", "degrees-regime"])
     @pytest.mark.parametrize("dry_run", [True, False])
     def test_dry_run_checks_what_the_run_checks(self, tmp_path, capsys, argv, message, dry_run):
         # each of these dry runs exited 0 although the real run exits 1

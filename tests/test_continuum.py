@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polylap import graph as graph_module
+from polylap import blocks
 from polylap.continuum import (
     FourierFunction,
     GridField,
@@ -21,7 +21,7 @@ from polylap.continuum import (
     sample_on_grid,
 )
 from polylap.geometry import INDICATOR, UNIFORM, DensitySpec, sample_cloud, sigma_eta
-from polylap.graph import BLOCK
+from polylap.blocks import BLOCK
 
 SIGMA1 = 2.0 / 3.0  # sigma_eta(INDICATOR, 1)
 COEFF = SIGMA1 * 4.0 * math.pi**2  # eigenvalue of mode k=1, d=1
@@ -92,6 +92,20 @@ class TestEvaluateWith:
         assert same_bits(u_pts[order], evaluate_reference(u_star, nodes))
         assert same_bits(self.G.evaluate(x), evaluate_reference(self.G, x))
 
+    def test_bitwise_d1_signed_zeros(self):
+        # the d=1 phase is a multiply, which keeps the sign of -0.0 * k where
+        # the matmul gives +0.0; the outputs must not tell the two apart
+        x = sample_cloud(UNIFORM, 3 * BLOCK + 17, 1, 5)
+        x[::7], x[3::7] = 0.0, -0.0
+        assert np.signbit(x[3, 0]) and not np.signbit(x[0, 0])
+        lap = continuum_laplacian_uniform(self.G, SIGMA1, 1)
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(blocks, "WORKERS", workers)
+                outs = self.G.evaluate_with(x, lap)
+            for fn, got in zip((self.G, lap), outs):
+                assert same_bits(got, evaluate_reference(fn, x))
+
     def test_bitwise_d2_and_derived_subset(self):
         # points in blocks, shared by one or two workers: each block's x @ k
         # must be bitwise the full product
@@ -109,7 +123,7 @@ class TestEvaluateWith:
             x = sample_cloud(UNIFORM, n, d, 4)
             for workers in (1, 2):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(graph_module, "WORKERS", workers)
+                    mp.setattr(blocks, "WORKERS", workers)
                     outs = f.evaluate_with(x, lap, cos_only)
                 for fn, got in zip((f, lap, cos_only), outs):
                     assert same_bits(got, evaluate_reference(fn, x))

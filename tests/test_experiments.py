@@ -11,7 +11,7 @@ import pytest
 from scipy import special
 
 from polylap import experiments as xp
-from polylap import graph as graph_module
+from polylap import blocks
 from polylap.continuum import FourierFunction, nonlocal_multiplier
 from polylap.experiments import (
     RECORD_FIELDS,
@@ -37,8 +37,8 @@ from polylap.geometry import (
     make_rng,
     sample_cloud,
 )
+from polylap.blocks import BLOCK
 from polylap.graph import (
-    BLOCK,
     IntervalLaplacian,
     apply_poly_laplacian,
     build_graph,
@@ -266,9 +266,9 @@ class TestRateSweep:
         # block-loop threads do not survive fork: a worker forked once this
         # process runs its pool must start its own, or a trial with more than
         # one BLOCK of points would wait forever on the parent's threads
-        monkeypatch.setattr(graph_module, "WORKERS", 2)
+        monkeypatch.setattr(blocks, "WORKERS", 2)
         IntervalLaplacian(np.arange(2 * BLOCK) / (2 * BLOCK), 0.1)
-        assert graph_module._pool[0] == os.getpid()
+        assert blocks._pool[0] == os.getpid()
         sch = Schedule(d=1, s=1, n_grid=(BLOCK + 1, 2 * BLOCK))
         args = (sch, G_DEFAULT, NoiseSpec("gaussian", 0.1), 2, 3)
         with multiprocessing.get_context("fork").Pool(2) as pool:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from polylap import blocks
+from polylap.blocks import BLOCK
 from polylap.geometry import (
     INDICATOR,
     PLATEAU,
@@ -188,6 +190,22 @@ class TestSampleCloud:
         c = sample_cloud(UNIFORM, 1, 3, 0)
         assert c.shape == (1, 3)
         assert np.all((c >= 0.0) & (c < 1.0))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17],
+                             ids=["1", "BLOCK-1", "BLOCK", "BLOCK+1", "3BLOCK+17"])
+    def test_uniform_spans_bitwise_one_stream(self, size, d, workers):
+        # n * d coordinates near size, on the side of it that keeps one
+        # block or crosses into several; with three workers the spans start
+        # off a multiple of Philox's four draws per counter step
+        n = max(1, size // d) if size <= BLOCK else -(-size // d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "WORKERS", workers)
+            got = sample_cloud(UNIFORM, n, d, 91)
+        want = make_rng(91).random((n, d))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from polylap import blocks
 from polylap import graph as graph_module
 from polylap.geometry import (
     INDICATOR,
@@ -20,8 +21,8 @@ from polylap.geometry import (
     sample_cloud,
     torus_distance,
 )
+from polylap.blocks import BLOCK
 from polylap.graph import (
-    BLOCK,
     IntervalLaplacian,
     apply_poly_laplacian,
     build_graph,
@@ -122,13 +123,13 @@ class TestAvailableCpus:
         # as under taskset -c 0 on a two-CPU host
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert graph_module.available_cpus() == 1
+        assert blocks.available_cpus() == 1
 
     @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
     def test_cpu_count_without_affinity(self, monkeypatch, count, cpus):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert graph_module.available_cpus() == cpus
+        assert blocks.available_cpus() == cpus
 
 
 class TestBuildGraph:
@@ -512,7 +513,7 @@ def assert_matches_reference(x, eps, signals, workers=(1, 2)):
     ref = IntervalReference(x, eps)
     for count in workers:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_module, "WORKERS", count)
+            mp.setattr(blocks, "WORKERS", count)
             il = IntervalLaplacian(x, eps)
             assert np.array_equal(il._lo_rem, ref.lo) and np.array_equal(il._hi_rem, ref.hi)
             assert_bitwise(il.neighbor_counts(), ref.counts)
@@ -606,7 +607,8 @@ class TestIntervalPrefixSumAccuracy:
 
 class TestIntervalApplyBitwise:
     @pytest.mark.parametrize("eps", [0.003, 0.05, 0.2, 0.45, 0.5])
-    @pytest.mark.parametrize("n", [1, 7, 1000, N_BLOCKS])
+    # ids that do not move with BLOCK
+    @pytest.mark.parametrize("n", [1, 7, 1000, N_BLOCKS], ids=["1", "7", "1000", "3BLOCK+17"])
     def test_matches_reference(self, n, eps):
         x = sample_cloud(UNIFORM, n, 1, 70 + n)[:, 0]
         rng = make_rng(71, n)
@@ -624,14 +626,14 @@ class TestIntervalApplyBitwise:
         signal = make_rng(81).standard_normal(N_BLOCKS)
         interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_module, "_pool", None)
+            mp.setattr(blocks, "_pool", None)
             sys.setswitchinterval(1e-6)
             try:
                 assert_matches_reference(x, 0.05, [signal], workers=[8])
             finally:
                 sys.setswitchinterval(interval)
-                if graph_module._pool is not None:  # the eight-worker pool
-                    graph_module._pool[1].shutdown()
+                if blocks._pool is not None:  # the eight-worker pool
+                    blocks._pool[1].shutdown()
 
     @pytest.mark.parametrize("eps", [1 / 64, 0.125, 0.3, 0.5])
     def test_grid_with_ties_across_blocks(self, eps):
@@ -717,7 +719,7 @@ class TestIntervalApplyBitwise:
 
         for workers in (1, 2):  # the workers' buffers share one block's room
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(graph_module, "WORKERS", workers)
+                mp.setattr(blocks, "WORKERS", workers)
                 _, peak = traced_peak(init_and_apply)
             assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{workers}: {peak / n:.2f} B/pt"
 
@@ -737,7 +739,7 @@ class TestIntervalApplyBitwise:
 
         for workers in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(graph_module, "WORKERS", workers)
+                mp.setattr(blocks, "WORKERS", workers)
                 _, init_peak = traced_peak(IntervalLaplacian, x, 0.05)
                 _, peak = traced_peak(init_and_apply)
             assert init_peak <= 20 * n + 48 * BLOCK, f"{workers}: {init_peak / n:.2f} B/pt"
