@@ -29,7 +29,14 @@ from .continuum import FourierFunction
 from .geometry import UNIFORM, DensitySpec, KernelProfile, check_cloud, check_eps, sample_cloud
 from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .graph import DENSE_THRESHOLD, dense_spectrum, dirichlet_energy, l2_mu_n
-from .solver import ResolventProblem, SolverError, check_residual, solve_resolvent
+from .solver import (
+    ResolventProblem,
+    SolverError,
+    check_residual,
+    check_tau,
+    check_tol,
+    solve_resolvent,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -210,6 +217,9 @@ def cmd_denoise(params, dry_run):
         noise = parse_noise(params)
         density = parse_density(params)
         check_cloud(density, n, d)
+        xp.check_operator_size(n, d, eps, kernel)
+    check_tau(tau)
+    check_tol(**tol_kw)
     if dry_run:
         return {"command": "denoise", "d": d, "s": s, "eps": eps, "tau": tau}
 
@@ -261,6 +271,7 @@ def cmd_sweep(params, dry_run):
     if workers < 1:
         raise ValidationError(f"parameter 'threads' must be >= 1, got {params['threads']!r}")
     workers = min(workers, available_cpus())
+    xp.check_sweep_inputs(trials, **tol_kw)
     resolved = {
         "command": "sweep", "d": d, "s": s, "n_grid": list(n_grid),
         "eps": [schedule.eps_of(n) for n in n_grid],
@@ -303,12 +314,12 @@ def cmd_consistency(params, dry_run):
         "command": "consistency", "d": d, "s": s, "eps_grid": eps_grid,
         "n": [rule(e) for e in eps_grid], "trials": trials, "seed": seed,
     }
+    cap_kw = _given(params, int, "n_cap")
+    xp.check_consistency_inputs(s, eps_grid, rule, trials, **cap_kw)
     if dry_run:
         return resolved
 
-    result = xp.consistency_sweep(
-        u, s, eps_grid, rule, trials, seed, **_given(params, int, "n_cap")
-    )
+    result = xp.consistency_sweep(u, s, eps_grid, rule, trials, seed, **cap_kw)
     xp.write_records_csv(result.records, os.path.join(_outdir(params), "records.csv"))
     # the total's slope sits near 2 (the O(eps^2) nonlocal bias dominates);
     # the O(eps) operator consistency is the stochastic part's slope

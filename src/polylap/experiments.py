@@ -56,6 +56,7 @@ from .solver import (
     SolverError,
     ansatz_signal,
     check_residual,
+    check_tol,
     solve_resolvent,
 )
 
@@ -183,6 +184,17 @@ RECORD_FIELDS = [f.name for f in fields(ExperimentRecord)]
 MAX_EXPLICIT_EDGES = 20_000_000
 
 
+def check_operator_size(n, d, eps, kernel):
+    """Raise MemoryError for a cloud whose operator make_operator would not
+    build: an explicit graph with more than MAX_EXPLICIT_EDGES expected
+    edges."""
+    if d == 1 and kernel.kind == "indicator":
+        return
+    edges = n * (n - 1) / 2 * unit_ball_volume(d) * eps**d
+    if edges > MAX_EXPLICIT_EDGES:
+        raise MemoryError(f"explicit graph of ~{edges:.3g} edges exceeds {MAX_EXPLICIT_EDGES}")
+
+
 def make_operator(points, eps, kernel, want_order=False):
     """Laplacian operator on an (n, d) array of points, node coordinates in
     operator order, and the permutation mapping input order to operator
@@ -195,6 +207,7 @@ def make_operator(points, eps, kernel, want_order=False):
     raises MemoryError before it is built.
     """
     n, d = points.shape
+    check_operator_size(n, d, eps, kernel)
     if d == 1 and kernel.kind == "indicator":
         op = IntervalLaplacian(points[:, 0], eps)
         order = None
@@ -206,9 +219,6 @@ def make_operator(points, eps, kernel, want_order=False):
             if np.any(op.x[1:] == op.x[:-1]):
                 order = np.argsort(points[:, 0], kind="stable")
         return op, op.x.reshape(-1, 1), order
-    edges = n * (n - 1) / 2 * unit_ball_volume(d) * eps**d
-    if edges > MAX_EXPLICIT_EDGES:
-        raise MemoryError(f"explicit graph of ~{edges:.3g} edges exceeds {MAX_EXPLICIT_EDGES}")
     return build_graph(points, eps, kernel), points, None
 
 
@@ -285,6 +295,13 @@ class SweepResult:
     failure_count: int
 
 
+def check_sweep_inputs(trials_per_n, tol=DEFAULT_TOL):
+    """Reject what rate_sweep cannot run, in the order it would fail on it."""
+    if trials_per_n < 1:
+        raise ValueError("trials_per_n must be >= 1")
+    check_tol(tol)
+
+
 def rate_sweep(
     schedule: Schedule,
     g: FourierFunction,
@@ -300,8 +317,7 @@ def rate_sweep(
     the predicted exponent for the latter is s / (d + 4s).  Failed trials are
     excluded from the fit and counted.
     """
-    if trials_per_n < 1:
-        raise ValueError("trials_per_n must be >= 1")
+    check_sweep_inputs(trials_per_n, tol)
     configs = [
         TrialConfig(
             g=g,
@@ -384,6 +400,23 @@ def _median_slope(grid, pairs, x_of):
     return _ols_slope(xs, [math.log(m) for m in medians])
 
 
+# largest cloud consistency_sweep samples
+CONSISTENCY_N_CAP = 100_000_000
+
+
+def check_consistency_inputs(s, eps_grid, n_rule, trials, n_cap=CONSISTENCY_N_CAP):
+    """Reject what consistency_sweep cannot run, before it samples a cloud:
+    fewer than one trial, s < 1, or an n(eps) above n_cap (MemoryError)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if s < 1:  # s = 0 would compare u with itself, s < 0 with an inverse power
+        raise ValueError(f"s must be >= 1, got {s}")
+    for eps in eps_grid:
+        n = n_rule(eps)
+        if n > n_cap:
+            raise MemoryError(f"n(eps={eps}) = {n} exceeds the cap {n_cap}")
+
+
 def consistency_sweep(
     u: FourierFunction,
     s: int,
@@ -391,7 +424,7 @@ def consistency_sweep(
     n_rule,
     trials: int,
     base_seed: int,
-    n_cap: int = 100_000_000,
+    n_cap: int = CONSISTENCY_N_CAP,
 ) -> ConsistencyResult:
     """Empirical ||Delta_n^s u - Delta_rho^s u|_nodes|| across an eps grid,
     with its split against the exact nonlocal reference Delta_eps^s u.
@@ -401,19 +434,19 @@ def consistency_sweep(
     nonlocal bias of the symmetric kernel, so its slope against eps sits
     near 2; the O(eps) operator consistency is checked by the slope of the
     stochastic part ||Delta_n^s u - Delta_eps^s u||.
+
+    A trial keeps one signal: u at the nodes, which every apply overwrites
+    with its product (apply(lu, out=lu)), so it peaks at the operator, that
+    signal and one apply's prefix sums, 36 bytes per point.  The two
+    references then take the residuals in place.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if s < 1:  # s = 0 would compare u with itself, s < 0 with an inverse power
-        raise ValueError(f"s must be >= 1, got {s}")
+    check_consistency_inputs(s, eps_grid, n_rule, trials, n_cap)
     d = u.d
     sigma = sigma_eta(INDICATOR, d)
     ref = continuum_laplacian_uniform(u, sigma, s)
     records, stochastic, nonlocal_bias = [], [], {}
     for i, eps in enumerate(eps_grid):
         n = n_rule(eps)
-        if n > n_cap:
-            raise MemoryError(f"n(eps={eps}) = {n} exceeds the cap {n_cap}")
         mult = {k: nonlocal_multiplier(k, eps) ** s for k in u.modes}
         nonlocal_bias[float(eps)] = u.map_modes(
             lambda k: mult[k] - mode_multiplier(k, sigma, s)
@@ -424,10 +457,10 @@ def consistency_sweep(
             points = sample_cloud(UNIFORM, n, d, seed)
             op, nodes, _ = make_operator(points, eps, INDICATOR)
             del points  # the fast path keeps its own sorted copy; free the original
-            # apply_poly_laplacian's loop, dropping each input once applied
+            # Delta_n^s u, every apply in place on the evaluated signal
             lu = u.evaluate(nodes)
             for _ in range(s):
-                lu = op.apply(lu)
+                op.apply(lu, out=lu)
             del op  # nodes keeps the coordinates; free the rest of the operator
             refs = ref.evaluate_with(nodes, ref_eps)
             for r in refs:

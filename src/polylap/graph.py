@@ -15,18 +15,21 @@ contiguous window in sorted order, so `IntervalLaplacian` applies the same
 operator in O(n) per product without storing any edges.  It is exactly
 equivalent to the explicit graph (tested) and is what makes the large-n
 sweeps fit in memory: it keeps 20 bytes per point and works in blocks of
-`blocks.BLOCK` (2^16) points, so one apply peaks at about 44 bytes per point
-with its input, prefix sums and result.  Its construction finds the window
-ends in O(n) too: a block's shifted coordinates x - eps and x + eps are at
-most two ascending runs each, and each run is merged into the slice of
-sorted points that holds its answers by a stable sort of bit-pattern keys,
-with no binary search per point.  Beyond one block the block loops run on
-a thread pool of one worker per CPU this process may run on
-(`blocks.run_blocks`); each worker's buffers are 1/WORKERS of the serial
-set, so the bytes per point stay the same, and the results are bitwise
-those of the serial loop.  `experiments.make_operator` is the one place
-that picks between the two forms.  Both share one operator protocol: `n`, `eps`, `degrees`,
-`neighbor_counts()` and `apply(u)`.  All else here uses only that protocol,
+`blocks.BLOCK` (2^16) points, so one apply peaks at about 36 bytes per
+point with its input, which it may overwrite, and the prefix sums (44 with
+a separate result).  Its construction finds the window ends in O(n) too: a
+block's shifted coordinates x - eps and x + eps are at most two ascending
+runs each, and each run is merged into the slice of sorted points that
+holds its answers by a stable sort of bit-pattern keys, with no binary
+search per point.  Beyond one block the block loops run on a thread pool
+of one worker per CPU this process may run on (`blocks.run_blocks`); each
+worker's buffers are 1/WORKERS of the serial set, so the bytes per point
+stay the same, and the results are bitwise those of the serial loop.
+`experiments.make_operator` is the one place that picks between the two
+forms.  Both share one operator protocol: `n`, `eps`, `degrees`,
+`neighbor_counts()` and `apply(u, out=None)`, which writes the result into
+out when given (float64 of shape (n,), u itself allowed) and returns it,
+bitwise what a fresh call returns.  All else here uses only that protocol,
 and so does the solver; `dense_spectrum` assembles its matrix from `apply`.
 """
 
@@ -85,13 +88,29 @@ class KernelGraph:
     def neighbor_counts(self):
         return np.diff(self.w.indptr)
 
-    def apply(self, u):
-        """(2/(n eps^2)) (D - W) u."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.n,):
-            raise ValueError(f"signal length {u.shape} does not match n={self.n}")
-        scale = 2.0 / (self.n * self.eps**2)
-        return scale * (self.degrees * u - self.w @ u)
+    def apply(self, u, out=None):
+        """(2/(n eps^2)) (D - W) u, written into out if given (u itself
+        allowed)."""
+        u, out = _signal_and_out(self.n, u, out)
+        wu = self.w @ u  # complete before out, which may be u, is written
+        np.multiply(self.degrees, u, out=out)
+        out -= wu
+        out *= 2.0 / (self.n * self.eps**2)
+        return out
+
+
+def _signal_and_out(n, u, out):
+    """u as a float64 signal of length n, and the array an apply writes:
+    out, which must be float64 of shape (n,), or a new one.  out may be u
+    itself but no other view that overlaps it."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise ValueError(f"signal length {u.shape} does not match n={n}")
+    if out is None:
+        return u, np.empty(n)
+    if not (isinstance(out, np.ndarray) and out.shape == (n,) and out.dtype == np.float64):
+        raise ValueError(f"out must be a float64 array of shape ({n},)")
+    return u, out
 
 
 def _readonly(a):
@@ -246,13 +265,14 @@ class IntervalLaplacian:
     the int32 window ends and neighbor counts); construction and apply work
     in blocks of BLOCK = 2^16 points, shared by the CPUs this process may
     run on (`blocks.run_blocks`), so an apply holds no other n-length array
-    than u, the prefix sums and its result.  Every worker holds its own
-    buffers for BLOCK // WORKERS points, so all of them together take what
-    one serial block does: about 34 * BLOCK bytes (2.2 MB) in the
-    construction, 8 * BLOCK (0.5 MB) in an apply.  The window ends of a
-    block are found in O(BLOCK) by merging its shifted coordinates, at most
-    two ascending runs, into the sorted points (`_merge_searchsorted`), not
-    by one binary search per point.
+    than u, the prefix sums and its result: 36 bytes per point with the
+    operator when it writes into u (apply(u, out=u)), 44 with a separate
+    result.  Every worker holds its own buffers for BLOCK // WORKERS points,
+    so all of them together take what one serial block does: about
+    34 * BLOCK bytes (2.2 MB) in the construction, 16 * BLOCK (1 MB) in an
+    apply.  The window ends of a block are found in O(BLOCK) by merging its
+    shifted coordinates, at most two ascending runs, into the sorted points
+    (`_merge_searchsorted`), not by one binary search per point.
     """
 
     def __init__(self, points_1d, eps):
@@ -310,39 +330,46 @@ class IntervalLaplacian:
     def neighbor_counts(self):
         return self._counts.astype(np.int64)
 
-    def apply(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.n,):
-            raise ValueError(f"signal length {u.shape} does not match n={self.n}")
-        # window sums from prefix sums, then every pass in place, block by
-        # block.  take copies each int32 index block to intp; mode="clip"
-        # lets it write into out directly, which mode="raise" would buffer
+    def apply(self, u, out=None):
+        """(2/(n eps^2)) (D - W) u in sorted order, written into out if given
+        (u itself allowed)."""
+        u, out = _signal_and_out(self.n, u, out)
+        # window sums from prefix sums, complete before any span runs, then
+        # every pass block by block in two span buffers.  Each span reads
+        # its u[a:b] before it writes out[a:b], so out may be u.  take
+        # copies each int32 index block to intp; mode="clip" lets it write
+        # into the buffer directly, which mode="raise" would buffer
         n, eps = self.n, self.eps
         cum = np.empty(n + 1)
         cum[0] = 0.0
         np.cumsum(u, out=cum[1:])
         total = cum[-1]
         scale = 2.0 / (n * eps**2)
-        out = np.empty(n)
 
-        def apply_span(a, b, tmp):
-            o, t, ub = out[a:b], tmp[: b - a], u[a:b]
-            cum.take(self._hi_rem[a:b], out=o, mode="clip")
+        def apply_span(a, b, work):
+            w, t, ub = work[0, : b - a], work[1, : b - a], u[a:b]
+            cum.take(self._hi_rem[a:b], out=w, mode="clip")
             cum.take(self._lo_rem[a:b], out=t, mode="clip")
-            o -= t
+            w -= t
             # + wraps * total: once on the prefix and the suffix of wrapped
             # windows, 0 * total between them, or 2 * total where they overlap
             below, above = self._wrap_ends(a, b)
             first, last = sorted((below, above))
-            o[:first] += total
-            o[first:last] += (2.0 if above < below else 0.0) * total
-            o[last:] += total
-            o -= ub  # exclude self
-            o /= eps  # W u
+            w[:first] += total
+            w[first:last] += (2.0 if above < below else 0.0) * total
+            w[last:] += total
+            w -= ub  # exclude self
+            w /= eps  # W u
             np.divide(self._counts[a:b], eps, out=t)  # degrees
             t *= ub
-            np.subtract(t, o, out=o)
+            o = out[a:b]
+            np.subtract(t, w, out=o)
             o *= scale
 
-        run_blocks(n, apply_span, np.empty)
+        run_blocks(n, apply_span, _span_buffers)
         return out
+
+
+def _span_buffers(size):
+    """The two work buffers of an apply span of at most size points."""
+    return np.empty((2, size))

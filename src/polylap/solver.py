@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import apply_poly_laplacian, dense_spectrum, l2_mu_n
+from .graph import dense_spectrum, l2_mu_n
 
 DEFAULT_TOL = 1e-10
 
@@ -41,8 +41,7 @@ class ResolventProblem:
     s: float = 1  # CG requires a positive integer; the dense oracle takes any s >= 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError("tau must be finite and >= 0")
+        check_tau(self.tau)
         if self.s < 0:
             raise ValueError("s must be >= 0")
         y = np.asarray(self.y, dtype=float)
@@ -51,6 +50,18 @@ class ResolventProblem:
         if not np.all(np.isfinite(y)):
             raise ValueError("labels must be finite")
         object.__setattr__(self, "y", y)
+
+
+def check_tau(tau):
+    """Reject a resolvent weight that is negative or not finite."""
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and >= 0")
+
+
+def check_tol(tol=DEFAULT_TOL):
+    """Reject a solver tolerance that is not positive and finite."""
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
 
 
 @dataclass
@@ -96,26 +107,33 @@ def _shifted_diagonal(graph, tau, s):
 
 
 def _operator(graph, tau, s):
-    def apply_a(u):
-        v = apply_poly_laplacian(graph, u, s)  # a fresh array for s >= 1
-        v *= tau
-        v += u
-        return v
+    def apply_a(u, out=None):
+        """(tau Delta^s + I) u, written into out if given (not u itself)."""
+        out = graph.apply(u, out=out)
+        for _ in range(s - 1):
+            graph.apply(out, out=out)
+        out *= tau
+        out += u
+        return out
 
     return apply_a
 
 
 def _shifted_pair_operator(graph, sigma):
-    """z -> (I + i sigma Delta) z, with Delta applied to Re z and Im z apart."""
+    """z -> (I + i sigma Delta) z, with Delta applied to Re z and Im z apart
+    into two real buffers made once, so a call given out (which must not
+    be z) makes no n-length array of its own."""
+    lap_re, lap_im = np.empty(graph.n), np.empty(graph.n)
 
-    def apply_b(z):
-        a = graph.apply(z.real)
-        b = graph.apply(z.imag)
-        out = np.empty_like(z)
-        b *= sigma
-        np.subtract(z.real, b, out=out.real)
-        a *= sigma
-        np.add(z.imag, a, out=out.imag)
+    def apply_b(z, out=None):
+        if out is None:
+            out = np.empty_like(z)
+        graph.apply(z.real, out=lap_re)
+        graph.apply(z.imag, out=lap_im)
+        np.multiply(lap_im, sigma, out=lap_im)
+        np.subtract(z.real, lap_im, out=out.real)
+        np.multiply(lap_re, sigma, out=lap_re)
+        np.add(z.imag, lap_re, out=out.imag)
         return out
 
     return apply_b
@@ -132,14 +150,22 @@ def _cg(apply_a, diag, y, y_norm, bound, tol, max_iters, dtype):
     history, energy history, None) or, when CG breaks down or runs out of
     steps, the same with an error message last.  Energies are kept for
     real A only, where CG minimises them.
+
+    The loop allocates no n-length array of its own (an apply still makes
+    its prefix sums or W u): x, r, d, one work buffer that also holds z,
+    and one that apply_a(d, out=...) writes A d into are made once, so a
+    step holds five vectors besides y and diag.
     """
     n = y.size
     real = dtype is float
     x = np.zeros(n, dtype)
     r = y.astype(dtype)
-    z = np.divide(r, diag)
-    d = z.copy()
+    # z is read only between its division and the direction update, so it
+    # shares the work buffer; A d goes into a buffer of its own
     tmp = np.empty(n, dtype)
+    z = np.divide(r, diag, out=tmp)
+    d = z.copy()
+    ad = np.empty(n, dtype)
     rz = r @ z
 
     def norm(v):
@@ -155,7 +181,7 @@ def _cg(apply_a, diag, y, y_norm, bound, tol, max_iters, dtype):
     energies = [energy] if real else []
     k = 0
     while k < max_iters:
-        ad = apply_a(d)
+        apply_a(d, out=ad)
         dad = d @ ad
         if dad == 0.0 or not np.isfinite(dad) or (real and dad < 0.0):
             # search direction annihilated: the residual has hit the floating
@@ -199,8 +225,7 @@ def solve_resolvent(
     accept or retry.  The true residual is recomputed at the end and
     reported; check_residual compares it with tol.
     """
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
+    check_tol(tol)
     if p.s != int(p.s) or p.s < 1:
         raise ValueError("CG path requires integer s >= 1; use the dense oracle")
     graph, s, n = p.graph, int(p.s), p.graph.n

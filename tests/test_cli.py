@@ -421,6 +421,12 @@ class TestRecordsBytes:
              "--modes=0:0.5:0.0;1:1.0:-0.3;2:0.0:0.25", "--seed=3"],
             "03cecc165990be418e407678d82c5d408b68d8a64aa6c55cfad56a708bc7846e",
         ),
+        # n = 91753 at eps = 0.3: in-place applies over more than one block
+        "consistency_d1_s2_blocks": (
+            ["consistency", "--eps_grid=0.35,0.3", "--trials=1", "--k_mult=1.5", "--s=2",
+             "--modes=0:0.5:0.0;1:1.0:-0.3;2:0.0:0.25", "--seed=5"],
+            "eef6f5b52b78e03eca01ac4d0318b8262f0a6c0f3c5fac3c45fec89dc31a3511",
+        ),
         "denoise_d1": (
             ["denoise", "--d=1", "--n=500", "--eps=0.05", "--tau=0.01",
              "--modes=1:1.0:0.0;3:0.0:0.4", "--seed=2"],
@@ -685,10 +691,22 @@ class TestExitCodes:
           "--density_mode=1,1"], "mode vector length must equal d"),
         (["degrees", "--trials=0"], "trials must be >= 1"),
         (["degrees", "--n=10", "--d=2"], "need n * eps^d >= 1"),
+        # the solver's, rate_sweep's, consistency_sweep's and make_operator's
+        (["denoise", "--n=40", "--modes=1:1:0", "--tau=-1"], "tau must be finite and >= 0"),
+        (["denoise", "--n=40", "--modes=1:1:0", "--tau=inf"], "tau must be finite and >= 0"),
+        (["denoise", "--n=40", "--modes=1:1:0", "--tol=-1"], "tol must be positive and finite"),
+        (["sweep", "--tol=-1"], "tol must be positive and finite"),
+        (["sweep", "--trials=0"], "trials_per_n must be >= 1"),
+        (["consistency", "--trials=0"], "trials must be >= 1"),
+        (["consistency", "--n_cap=10"], "n(eps=0.2) = 201180 exceeds the cap 10"),
+        (["denoise", "--d=3", "--n=100000", "--modes=1,0,0:1:0"],
+         "explicit graph of ~1.68e+08 edges exceeds 20000000"),
     ], ids=["denoise-n", "denoise-modes", "denoise-noise", "denoise-density",
             "degrees-density", "degrees-kernel", "degrees-cap", "spectrum-density",
             "spectrum-kernel", "denoise-n-zero", "spectrum-n-zero", "denoise-density-mode",
-            "degrees-trials", "degrees-regime"])
+            "degrees-trials", "degrees-regime", "denoise-tau-negative", "denoise-tau-inf",
+            "denoise-tol", "sweep-tol", "sweep-trials", "consistency-trials",
+            "consistency-n-cap", "denoise-edge-cap"])
     @pytest.mark.parametrize("dry_run", [True, False])
     def test_dry_run_checks_what_the_run_checks(self, tmp_path, capsys, argv, message, dry_run):
         # each of these dry runs exited 0 although the real run exits 1

@@ -751,3 +751,68 @@ class TestIntervalApplyBitwise:
         IntervalLaplacian(sample_cloud(UNIFORM, 200, 1, 74)[:, 0], 0.1).apply(u)
         assert np.array_equal(u, keep)
 
+
+
+def assert_out_forms_agree(op, u, ref):
+    """apply(u), apply(u, out=buf) and apply(u, out=u) all bitwise ref; the
+    first leaves u alone and the second returns buf."""
+    keep = u.copy()
+    assert_bitwise(op.apply(u), ref)
+    assert_bitwise(u, keep)
+    buf = np.full(op.n, np.nan)
+    assert op.apply(u, out=buf) is buf
+    assert_bitwise(buf, ref)
+    assert_bitwise(u, keep)
+    assert op.apply(u, out=u) is u
+    assert_bitwise(u, ref)
+
+
+def signed_zero_signal(rng, n):
+    """Normal values with +0.0 and -0.0 sprinkled in."""
+    u = rng.standard_normal(n)
+    u[::5] = 0.0
+    u[2::7] = -0.0
+    return u
+
+
+class TestApplyOut:
+    """apply(u, out=None): the result written into out, u itself allowed,
+    bitwise what a fresh call returns."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "n", [1, 7, BLOCK - 1, BLOCK + 1, N_BLOCKS],
+        ids=["1", "7", "BLOCK-1", "BLOCK+1", "3BLOCK+17"],
+    )
+    def test_interval_in_place(self, n, workers):
+        rng = make_rng(90, n)
+        # a 1/64 grid half of the time: equal coordinates across spans
+        x = np.where(rng.random(n) < 0.5, rng.integers(0, 64, n) / 64.0, rng.random(n))
+        ref = IntervalReference(x, 0.05)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "WORKERS", workers)
+            op = IntervalLaplacian(x, 0.05)
+            for u in (signed_zero_signal(rng, n), -np.zeros(n)):
+                assert_out_forms_agree(op, u, ref.apply(u))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_explicit_in_place(self, d):
+        g = build_graph(sample_cloud(UNIFORM, 300, d, 91), 0.15)
+        u = signed_zero_signal(make_rng(92), 300)
+        scale = 2.0 / (g.n * g.eps**2)
+        # the formula of the fresh apply, written out
+        ref = scale * (g.degrees * u - g.w @ u)
+        assert_out_forms_agree(g, u, ref)
+
+    @pytest.mark.parametrize("out", [
+        np.empty(9), np.empty(10, np.float32), np.empty((10, 1)), np.empty(10, complex),
+        [0.0] * 10,
+    ], ids=["short", "float32", "column", "complex", "list"])
+    def test_bad_out(self, out):
+        ops = [
+            build_graph(sample_cloud(UNIFORM, 10, 2, 95), 0.3),
+            IntervalLaplacian(sample_cloud(UNIFORM, 10, 1, 96)[:, 0], 0.3),
+        ]
+        for op in ops:
+            with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+                op.apply(np.ones(10), out=out)

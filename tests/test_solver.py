@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polylap import solver
 from polylap.geometry import UNIFORM, make_rng, sample_cloud
 from polylap.graph import (
     IntervalLaplacian,
@@ -209,6 +210,47 @@ class TestRealPCGBitwise:
                 report = solve_resolvent(p, tol=1e-10)
                 assert np.array_equal(report.solution.view(np.int64), u.view(np.int64))
                 assert report.residual_history == history
+
+
+class TestOperatorsWithOut:
+    """The solver's operators write into a kept buffer bitwise what a fresh
+    call returns, and what the formulas they replace gave."""
+
+    OPS = [
+        lambda: random_graph(150, 2, 3201, eps=0.2),
+        lambda: IntervalLaplacian(sample_cloud(UNIFORM, 300, 1, 3202)[:, 0], 0.1),
+    ]
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("make", OPS, ids=["explicit", "interval"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_shifted_operator(self, make, s):
+        op = make()
+        u = make_rng(3203).standard_normal(op.n)
+        apply_a = solver._operator(op, 0.05, s)
+        ref = 0.05 * apply_poly_laplacian(op, u, s) + u
+        self.assert_bitwise(apply_a(u), ref)
+        buf = np.full(op.n, np.nan)
+        assert apply_a(u, out=buf) is buf
+        self.assert_bitwise(buf, ref)
+
+    @pytest.mark.parametrize("make", OPS, ids=["explicit", "interval"])
+    def test_shifted_pair_operator(self, make):
+        op = make()
+        rng = make_rng(3204)
+        z = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+        ref = np.empty_like(z)
+        ref.real = z.real - 0.3 * op.apply(z.imag)
+        ref.imag = z.imag + 0.3 * op.apply(z.real)
+        apply_b = solver._shifted_pair_operator(op, 0.3)
+        self.assert_bitwise(apply_b(z), ref)
+        buf = np.full(op.n, np.nan, complex)
+        assert apply_b(z, out=buf) is buf
+        self.assert_bitwise(buf, ref)
 
 
 class TestShiftedPairCG:
