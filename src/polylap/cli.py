@@ -28,7 +28,7 @@ from .blocks import available_cpus
 from .continuum import FourierFunction
 from .geometry import UNIFORM, DensitySpec, KernelProfile, check_cloud, check_eps, sample_cloud
 from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
-from .graph import DENSE_THRESHOLD, dense_spectrum, dirichlet_energy, l2_mu_n
+from .graph import DENSE_THRESHOLD, check_power, dense_spectrum, dirichlet_energy, l2_mu_n
 from .solver import (
     ResolventProblem,
     SolverError,
@@ -208,8 +208,7 @@ def cmd_denoise(params, dry_run):
     kernel = parse_kernel(params)
     seed = _param(params, "seed", int, 0)
     check_eps(eps)
-    if s < 1:  # the CG path solves integer powers s >= 1
-        raise ValidationError(f"s must be >= 1, got {s}")
+    check_power(s)
     csv = params.get("input_csv")
     if csv is None:  # the generated cloud's keys, checked by the dry run too
         n = _param(params, "n", int)

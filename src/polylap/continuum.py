@@ -19,6 +19,7 @@ from scipy import special
 
 from .geometry import DensitySpec, KernelProfile, check_eps, unit_ball_volume
 from .blocks import run_blocks
+from .solver import check_tau
 
 
 def _canonical_mode(k):
@@ -165,20 +166,19 @@ def continuum_laplacian_uniform(g: FourierFunction, sigma: float, s=1) -> Fourie
 
 def continuum_solve_uniform(g: FourierFunction, tau: float, s, sigma: float) -> FourierFunction:
     """Exact minimiser of the continuum objective: divide mode k by 1 + tau lambda_k^..."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    check_tau(tau)
     return g.map_modes(lambda k: 1.0 / (1.0 + tau * mode_multiplier(k, sigma, s)))
 
 
 def bias_bound(g: FourierFunction, tau: float, s, sigma: float) -> float:
     """tau * || Delta^s g || in L2 of the uniform density, computed modewise."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    check_tau(tau)
     return tau * continuum_laplacian_uniform(g, sigma, s).l2_norm_uniform()
 
 
 def exact_bias(g: FourierFunction, tau: float, s, sigma: float) -> float:
     """|| u*_tau - g ||: modewise tau lambda / (1 + tau lambda) shrinkage."""
+    check_tau(tau)
     diff = g.map_modes(
         lambda k: tau * mode_multiplier(k, sigma, s)
         / (1.0 + tau * mode_multiplier(k, sigma, s))

@@ -46,7 +46,9 @@ from .geometry import (
 )
 from .graph import (
     IntervalLaplacian,
+    apply_poly_laplacian,
     build_graph,
+    check_power,
     degree_statistics,
     l2_mu_n,
 )
@@ -77,8 +79,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform", "rademacher"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.scale < 0:
-            raise ValueError("noise scale must be >= 0")
+        if not 0.0 <= self.scale < math.inf:  # NaN fails too
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.scale}")
 
     def sample(self, rng, n):
         if self.kind == "gaussian":
@@ -129,8 +131,7 @@ class Schedule:
             raise ValueError("n_grid must be nonempty and strictly increasing")
         if grid[0] < 2:  # eps(n) needs log n > 0
             raise ValueError(f"n_grid entries must be >= 2, got {grid[0]}")
-        if self.s < 1:  # the CG path solves integer powers s >= 1
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        check_power(self.s)
         _check_multiplier("eps_mult", self.eps_mult)
         _check_multiplier("tau_mult", self.tau_mult)
         object.__setattr__(self, "n_grid", grid)
@@ -354,8 +355,7 @@ def rate_sweep(
 def default_n_rule(k_mult: float, d: int, s: int):
     """n(eps) = ceil(k_mult * log(1/eps) / eps^(d+4s)), for eps in (0, 1/2]
     and the powers s >= 1 that consistency_sweep compares."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    check_power(s)
     _check_multiplier("k_mult", k_mult)
 
     def rule(eps):
@@ -406,11 +406,11 @@ CONSISTENCY_N_CAP = 100_000_000
 
 def check_consistency_inputs(s, eps_grid, n_rule, trials, n_cap=CONSISTENCY_N_CAP):
     """Reject what consistency_sweep cannot run, before it samples a cloud:
-    fewer than one trial, s < 1, or an n(eps) above n_cap (MemoryError)."""
+    fewer than one trial, a power s that is not an integer >= 1, or an
+    n(eps) above n_cap (MemoryError)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if s < 1:  # s = 0 would compare u with itself, s < 0 with an inverse power
-        raise ValueError(f"s must be >= 1, got {s}")
+    check_power(s)  # s = 0 would compare u with itself, s < 0 with an inverse power
     for eps in eps_grid:
         n = n_rule(eps)
         if n > n_cap:
@@ -436,9 +436,9 @@ def consistency_sweep(
     stochastic part ||Delta_n^s u - Delta_eps^s u||.
 
     A trial keeps one signal: u at the nodes, which every apply overwrites
-    with its product (apply(lu, out=lu)), so it peaks at the operator, that
-    signal and one apply's prefix sums, 36 bytes per point.  The two
-    references then take the residuals in place.
+    with its product (apply_poly_laplacian with out=lu), so it peaks at the
+    operator, that signal and one apply's prefix sums, 36 bytes per point.
+    The two references then take the residuals in place.
     """
     check_consistency_inputs(s, eps_grid, n_rule, trials, n_cap)
     d = u.d
@@ -459,8 +459,7 @@ def consistency_sweep(
             del points  # the fast path keeps its own sorted copy; free the original
             # Delta_n^s u, every apply in place on the evaluated signal
             lu = u.evaluate(nodes)
-            for _ in range(s):
-                op.apply(lu, out=lu)
+            apply_poly_laplacian(op, lu, s, out=lu)
             del op  # nodes keeps the coordinates; free the rest of the operator
             refs = ref.evaluate_with(nodes, ref_eps)
             for r in refs:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .blocks import BLOCK, run_blocks
+from .blocks import run_blocks
 
 
 def check_eps(eps):
@@ -102,10 +102,6 @@ class DensitySpec:
             object.__setattr__(self, "mode", tuple(int(k) for k in self.mode))
 
     @property
-    def rho_min(self):
-        return 1.0 if self.kind == "uniform" else 1.0 - self.amplitude
-
-    @property
     def rho_max(self):
         return 1.0 if self.kind == "uniform" else 1.0 + self.amplitude
 
@@ -142,19 +138,18 @@ def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> np.ndarray:
     """Draw n iid points from the density, as an (n, d) array on [0,1)^d.
 
     Deterministic given the seed.  A uniform cloud is bitwise
-    make_rng(seed).random((n, d)); beyond one BLOCK of coordinates the block
-    loops fill it span by span.  Philox is counter-based, with four raw
-    draws per counter step and one raw draw per double, so the span from
-    flat index a advances a fresh copy of the stream by a // 4 steps and
-    discards a % 4 draws.  Other densities are drawn serially by rejection
-    against rho_max; a proposal cap (1000x the expected number needed) turns
-    a malformed spec into an error instead of a hang.
+    make_rng(seed).random((n, d)), filled span by span by the block loops,
+    which run up to one BLOCK of coordinates inline.  Philox is
+    counter-based, with four raw draws per counter step and one raw draw per
+    double, so the span from flat index a advances a fresh copy of the
+    stream by a // 4 steps and discards a % 4 draws.  Other densities are
+    drawn serially by rejection against rho_max; a proposal cap (1000x the
+    expected number needed) turns a malformed spec into an error instead of
+    a hang.
     """
     check_cloud(spec, n, d)
     rng = make_rng(seed)
     if spec.kind == "uniform":
-        if n * d <= BLOCK:
-            return rng.random((n, d))
         seed_seq = rng.bit_generator.seed_seq
         out = np.empty((n, d))
         flat = out.reshape(-1)

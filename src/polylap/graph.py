@@ -157,20 +157,31 @@ def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> Kernel
     return KernelGraph(n, float(eps), csr, csr @ np.ones(n))
 
 
-def apply_poly_laplacian(graph, u, s: int):
-    """s-fold composition of the Laplacian; s = 0 returns u unchanged."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
+def check_power(s):
+    """Reject a power of the Laplacian that is not an integer >= 1, NaN
+    included: Delta^s is composed of s applies."""
+    if not float(s).is_integer():
+        raise ValueError(f"need an integer s >= 1, got {s}")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+
+
+def apply_poly_laplacian(graph, u, s: int, out=None):
+    """Delta^s u, the s-fold composition of the Laplacian, written into out
+    if given (u itself allowed) like the operator's apply(u, out=None): the
+    first apply writes out, every later one overwrites it.  s = 0 returns u
+    unchanged and leaves out alone."""
+    if s != 0:
+        check_power(s)
     v = np.asarray(u, dtype=float)
-    for _ in range(s):
-        v = graph.apply(v)
+    for _ in range(int(s)):
+        v = out = graph.apply(v, out=out)
     return v
 
 
 def dirichlet_energy(graph, u, s: int = 1) -> float:
     """<Delta^s u, u> in L2(mu_n), split symmetrically for numerical hygiene."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    check_power(s)
     lo = apply_poly_laplacian(graph, u, s // 2)
     hi = graph.apply(lo) if s % 2 else lo  # Delta^ceil(s/2) u
     return inner_mu_n(hi, lo)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import dense_spectrum, l2_mu_n
+from .graph import apply_poly_laplacian, check_power, dense_spectrum, l2_mu_n
 
 DEFAULT_TOL = 1e-10
 
@@ -42,8 +42,8 @@ class ResolventProblem:
 
     def __post_init__(self):
         check_tau(self.tau)
-        if self.s < 0:
-            raise ValueError("s must be >= 0")
+        if not (np.isfinite(self.s) and self.s >= 0):
+            raise ValueError(f"s must be finite and >= 0, got {self.s}")
         y = np.asarray(self.y, dtype=float)
         if y.shape != (self.graph.n,):
             raise ValueError("label length does not match graph size")
@@ -94,10 +94,8 @@ def ansatz_signal(graph, xi, tau, s: int = 1):
     Doubles as a smallness diagnostic (its norm scales like eps^(2s)/tau)
     and as the preconditioner diagonal.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    check_power(s)
+    check_tau(tau)
     return np.asarray(xi, dtype=float) / _shifted_diagonal(graph, tau, s)
 
 
@@ -109,9 +107,7 @@ def _shifted_diagonal(graph, tau, s):
 def _operator(graph, tau, s):
     def apply_a(u, out=None):
         """(tau Delta^s + I) u, written into out if given (not u itself)."""
-        out = graph.apply(u, out=out)
-        for _ in range(s - 1):
-            graph.apply(out, out=out)
+        out = apply_poly_laplacian(graph, u, s, out=out)
         out *= tau
         out += u
         return out
@@ -226,8 +222,7 @@ def solve_resolvent(
     reported; check_residual compares it with tol.
     """
     check_tol(tol)
-    if p.s != int(p.s) or p.s < 1:
-        raise ValueError("CG path requires integer s >= 1; use the dense oracle")
+    check_power(p.s)  # the dense oracle takes any real s >= 0
     graph, s, n = p.graph, int(p.s), p.graph.n
     if max_iters is None:
         max_iters = 10 * n

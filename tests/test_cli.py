@@ -694,6 +694,12 @@ class TestExitCodes:
         # the solver's, rate_sweep's, consistency_sweep's and make_operator's
         (["denoise", "--n=40", "--modes=1:1:0", "--tau=-1"], "tau must be finite and >= 0"),
         (["denoise", "--n=40", "--modes=1:1:0", "--tau=inf"], "tau must be finite and >= 0"),
+        (["denoise", "--n=40", "--modes=1:1:0", "--tau=nan"], "tau must be finite and >= 0"),
+        (["denoise", "--n=40", "--modes=1:1:0", "--s=1.5"],
+         "parameter 's' must be an integer, got '1.5'"),
+        (["denoise", "--n=40", "--modes=1:1:0", "--noise_scale=inf"],
+         "noise_scale must be finite and >= 0, got inf"),
+        (["sweep", "--noise_scale=nan"], "noise_scale must be finite and >= 0, got nan"),
         (["denoise", "--n=40", "--modes=1:1:0", "--tol=-1"], "tol must be positive and finite"),
         (["sweep", "--tol=-1"], "tol must be positive and finite"),
         (["sweep", "--trials=0"], "trials_per_n must be >= 1"),
@@ -705,6 +711,7 @@ class TestExitCodes:
             "degrees-density", "degrees-kernel", "degrees-cap", "spectrum-density",
             "spectrum-kernel", "denoise-n-zero", "spectrum-n-zero", "denoise-density-mode",
             "degrees-trials", "degrees-regime", "denoise-tau-negative", "denoise-tau-inf",
+            "denoise-tau-nan", "denoise-s-fraction", "denoise-noise-inf", "sweep-noise-nan",
             "denoise-tol", "sweep-tol", "sweep-trials", "consistency-trials",
             "consistency-n-cap", "denoise-edge-cap"])
     @pytest.mark.parametrize("dry_run", [True, False])

@@ -12,7 +12,13 @@ from scipy import special
 
 from polylap import experiments as xp
 from polylap import blocks
-from polylap.continuum import FourierFunction, nonlocal_multiplier
+from polylap.continuum import (
+    FourierFunction,
+    bias_bound,
+    continuum_solve_uniform,
+    exact_bias,
+    nonlocal_multiplier,
+)
 from polylap.experiments import (
     RECORD_FIELDS,
     ExperimentRecord,
@@ -42,9 +48,16 @@ from polylap.graph import (
     IntervalLaplacian,
     apply_poly_laplacian,
     build_graph,
+    dirichlet_energy,
     l2_mu_n,
 )
-from polylap.solver import SolveReport, solve_resolvent_dense
+from polylap.solver import (
+    ResolventProblem,
+    SolveReport,
+    ansatz_signal,
+    solve_resolvent,
+    solve_resolvent_dense,
+)
 
 G_DEFAULT = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 0.5)])
 # peak bytes per point of a d=1 consistency trial, plus a fixed slack for
@@ -537,3 +550,51 @@ class TestRecordsCSV:
         path = tmp_path / "records.csv"
         write_records_csv([], path)
         assert path.read_text().strip() == ",".join(RECORD_FIELDS)
+
+
+def boundary_operator():
+    return build_graph(sample_cloud(UNIFORM, 40, 1, 3), 0.2)
+
+
+# every function that takes tau, called with a given tau
+TAU_TAKERS = {
+    "ResolventProblem": lambda tau: ResolventProblem(boundary_operator(), np.ones(40), tau, 1),
+    "continuum_solve_uniform": lambda tau: continuum_solve_uniform(G_DEFAULT, tau, 1, 1.0),
+    "bias_bound": lambda tau: bias_bound(G_DEFAULT, tau, 1, 1.0),
+    "exact_bias": lambda tau: exact_bias(G_DEFAULT, tau, 1, 1.0),
+    "ansatz_signal": lambda tau: ansatz_signal(boundary_operator(), np.ones(40), tau, 1),
+}
+
+# every function that takes a Laplacian power s >= 1, called with a given s
+POWER_TAKERS = {
+    "Schedule": lambda s: Schedule(d=1, s=s, n_grid=(64,)),
+    "default_n_rule": lambda s: default_n_rule(40, 1, s),
+    "consistency_sweep": lambda s: consistency_sweep(
+        FourierFunction.from_modes(1, SINE), s, [0.2], lambda e: 200, 1, 0
+    ),
+    "dirichlet_energy": lambda s: dirichlet_energy(boundary_operator(), np.ones(40), s),
+    "ansatz_signal": lambda s: ansatz_signal(boundary_operator(), np.ones(40), 0.1, s),
+    "solve_resolvent": lambda s: solve_resolvent(
+        ResolventProblem(boundary_operator(), np.ones(40), 0.1, s)
+    ),
+}
+
+
+class TestParameterBoundaries:
+    """One check per parameter: check_tau for tau, check_power for s."""
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("taker", TAU_TAKERS)
+    def test_bad_tau(self, taker, tau):
+        # exact_bias once returned a bias for tau = -1, and NaN passed every
+        # one of them but ResolventProblem
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            TAU_TAKERS[taker](tau)
+
+    @pytest.mark.parametrize("s", [0, -1, 1.5])
+    @pytest.mark.parametrize("taker", POWER_TAKERS)
+    def test_bad_power(self, taker, s):
+        # s = 1.5 passed Schedule, default_n_rule and ansatz_signal, and
+        # dirichlet_energy raised a TypeError from range()
+        with pytest.raises(ValueError, match="s must be|integer s >= 1"):
+            POWER_TAKERS[taker](s)

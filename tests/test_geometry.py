@@ -167,7 +167,7 @@ class TestDensity:
         spec = DensitySpec("cosine_bump", 0.5, (1,))
         assert spec.eval(np.array([[0.0]]))[0] == pytest.approx(1.5, abs=1e-15)
         assert spec.eval(np.array([[0.5]]))[0] == pytest.approx(0.5, abs=1e-15)
-        assert spec.rho_min == 0.5 and spec.rho_max == 1.5
+        assert spec.rho_max == 1.5
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):

@@ -320,8 +320,9 @@ class TestPolyLaplacian:
         g = two_point_graph()
         u = np.array([1.0, 2.0])
         assert np.array_equal(apply_poly_laplacian(g, u, 0), u)
-        with pytest.raises(ValueError):
-            apply_poly_laplacian(g, u, -1)
+        for s in (-1, 1.5, math.nan):  # 1.5 once raised a TypeError from range()
+            with pytest.raises(ValueError, match="s must be >= 1|integer s >= 1"):
+                apply_poly_laplacian(g, u, s)
 
     def test_constant_nullspace_any_power(self):
         g = build_graph(sample_cloud(UNIFORM, 60, 1, 6), 0.2)
@@ -373,7 +374,8 @@ class TestDirichletEnergy:
         calls = []
         for cls in {type(op) for op in ops}:
             monkeypatch.setattr(
-                cls, "apply", lambda self, v, f=cls.apply: calls.append(1) or f(self, v)
+                cls, "apply",
+                lambda *args, f=cls.apply, **kwargs: calls.append(1) or f(*args, **kwargs),
             )
         for k, op in enumerate(ops):
             u = make_rng(34 + k).standard_normal(op.n)
@@ -753,17 +755,17 @@ class TestIntervalApplyBitwise:
 
 
 
-def assert_out_forms_agree(op, u, ref):
+def assert_out_forms_agree(apply, u, ref):
     """apply(u), apply(u, out=buf) and apply(u, out=u) all bitwise ref; the
     first leaves u alone and the second returns buf."""
     keep = u.copy()
-    assert_bitwise(op.apply(u), ref)
+    assert_bitwise(apply(u), ref)
     assert_bitwise(u, keep)
-    buf = np.full(op.n, np.nan)
-    assert op.apply(u, out=buf) is buf
+    buf = np.full(u.size, np.nan)
+    assert apply(u, out=buf) is buf
     assert_bitwise(buf, ref)
     assert_bitwise(u, keep)
-    assert op.apply(u, out=u) is u
+    assert apply(u, out=u) is u
     assert_bitwise(u, ref)
 
 
@@ -793,7 +795,7 @@ class TestApplyOut:
             mp.setattr(blocks, "WORKERS", workers)
             op = IntervalLaplacian(x, 0.05)
             for u in (signed_zero_signal(rng, n), -np.zeros(n)):
-                assert_out_forms_agree(op, u, ref.apply(u))
+                assert_out_forms_agree(op.apply, u, ref.apply(u))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_explicit_in_place(self, d):
@@ -802,7 +804,27 @@ class TestApplyOut:
         scale = 2.0 / (g.n * g.eps**2)
         # the formula of the fresh apply, written out
         ref = scale * (g.degrees * u - g.w @ u)
-        assert_out_forms_agree(g, u, ref)
+        assert_out_forms_agree(g.apply, u, ref)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("form", ["explicit", "interval-1", "interval-2"])
+    def test_poly_laplacian_in_place(self, form, s):
+        # apply_poly_laplacian(op, u, s, out) follows apply's protocol:
+        # bitwise s fresh applies, whichever array it writes
+        rng = make_rng(93, s)
+        with pytest.MonkeyPatch.context() as mp:
+            if form == "explicit":
+                op = build_graph(sample_cloud(UNIFORM, 300, 2, 94), 0.15)
+            else:
+                mp.setattr(blocks, "WORKERS", int(form[-1]))
+                op = IntervalLaplacian(rng.random(N_BLOCKS), 0.05)
+            u = signed_zero_signal(rng, op.n)
+            ref = u
+            for _ in range(s):
+                ref = op.apply(ref)
+            assert_out_forms_agree(
+                lambda v, out=None: apply_poly_laplacian(op, v, s, out=out), u, ref
+            )
 
     @pytest.mark.parametrize("out", [
         np.empty(9), np.empty(10, np.float32), np.empty((10, 1)), np.empty(10, complex),

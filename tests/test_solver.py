@@ -37,8 +37,9 @@ class TestResolventProblem:
         g = two_point_graph()
         with pytest.raises(ValueError):
             ResolventProblem(g, np.zeros(2), -1.0, 1)
-        with pytest.raises(ValueError):
-            ResolventProblem(g, np.zeros(2), 1.0, -1)
+        for s in (-1, np.nan, np.inf):  # NaN once gave a NaN dense solve
+            with pytest.raises(ValueError, match=f"s must be finite and >= 0, got {s}"):
+                ResolventProblem(g, np.zeros(2), 1.0, s)
         with pytest.raises(ValueError):
             ResolventProblem(g, np.zeros(3), 1.0, 1)
 
