@@ -30,6 +30,7 @@ from .geometry import UNIFORM, DensitySpec, KernelProfile, check_cloud, check_ep
 from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .graph import DENSE_THRESHOLD, check_power, dense_spectrum, dirichlet_energy, l2_mu_n
 from .solver import (
+    DEFAULT_TOL,
     ResolventProblem,
     SolverError,
     check_residual,
@@ -75,8 +76,8 @@ def parse_modes(text, d):
 
 
 def parse_density(params):
-    kind = params.get("density", "uniform")
-    if kind == "uniform":
+    kind = params.get("density", UNIFORM.kind)
+    if kind == UNIFORM.kind:
         return UNIFORM
     if kind == "cosine_bump":
         amp = _param(params, "density_amplitude", float, 0.5)
@@ -86,13 +87,12 @@ def parse_density(params):
 
 
 def parse_noise(params):
-    return xp.NoiseSpec(
-        **_given(params, str, kind="noise"), **_given(params, float, scale="noise_scale")
-    )
+    kind = _param(params, "noise", str, xp.NoiseSpec.kind)
+    return xp.NoiseSpec(kind, _param(params, "noise_scale", float, xp.NoiseSpec.scale))
 
 
 def parse_kernel(params):
-    return KernelProfile(params.get("kernel", "indicator"))
+    return KernelProfile(params.get("kernel", KernelProfile.kind))
 
 
 def _number(conv, text, name):
@@ -106,8 +106,8 @@ def _number(conv, text, name):
 
 
 def _param(params, key, conv, default=None):
-    """Numeric key as conv; default if it is unset, and without a default
-    an unset key is a missing parameter (KeyError)."""
+    """Key as conv, or default (a library constant by name) if it is unset;
+    without a default an unset key is a missing parameter (KeyError)."""
     text = params[key] if default is None else params.get(key, default)
     return _number(conv, text, f"parameter {key!r}")
 
@@ -115,13 +115,6 @@ def _param(params, key, conv, default=None):
 def _param_list(params, key, conv, default):
     """Comma-separated numeric key as a list of conv."""
     return [_number(conv, v, f"parameter {key!r}") for v in params.get(key, default).split(",")]
-
-
-def _given(params, conv, *keys, **renamed):
-    """{arg: params[key] as conv} for each key the user set (a key named
-    like its argument, or arg=key); the library default applies to the rest."""
-    names = {**{key: key for key in keys}, **renamed}
-    return {arg: _param(params, key, conv) for arg, key in names.items() if key in params}
 
 
 def _collect_params(args, extras):
@@ -204,7 +197,7 @@ def cmd_denoise(params, dry_run):
     s = _param(params, "s", int, 1)
     eps = _param(params, "eps", float)
     tau = _param(params, "tau", float, 0.01)
-    tol_kw = _given(params, float, "tol")
+    tol = _param(params, "tol", float, DEFAULT_TOL)
     kernel = parse_kernel(params)
     seed = _param(params, "seed", int, 0)
     check_eps(eps)
@@ -218,7 +211,7 @@ def cmd_denoise(params, dry_run):
         check_cloud(density, n, d)
         xp.check_operator_size(n, d, eps, kernel)
     check_tau(tau)
-    check_tol(**tol_kw)
+    check_tol(tol)
     if dry_run:
         return {"command": "denoise", "d": d, "s": s, "eps": eps, "tau": tau}
 
@@ -230,8 +223,8 @@ def cmd_denoise(params, dry_run):
 
     op, _, order = xp.make_operator(points, eps, kernel, want_order=True)
     y_op = y if order is None else y[order]
-    report = solve_resolvent(ResolventProblem(op, y_op, tau, s), **tol_kw)
-    check_residual(report, **tol_kw)
+    report = solve_resolvent(ResolventProblem(op, y_op, tau, s), tol)
+    check_residual(report, tol)
     reg = dirichlet_energy(op, report.solution, s)
     u = report.solution
     if order is not None:  # records.csv keeps the input row order
@@ -256,21 +249,21 @@ def cmd_sweep(params, dry_run):
     d = _param(params, "d", int, 1)
     s = _param(params, "s", int, 1)
     n_grid = tuple(_param_list(params, "n_grid", int, "1024,2048,4096,8192,16384,32768"))
-    schedule = xp.Schedule(
-        d=d, s=s, n_grid=n_grid, **_given(params, float, "eps_mult", "tau_mult")
-    )
+    eps_mult = _param(params, "eps_mult", float, xp.Schedule.eps_mult)
+    tau_mult = _param(params, "tau_mult", float, xp.Schedule.tau_mult)
+    schedule = xp.Schedule(d, s, n_grid, eps_mult, tau_mult)
     g = parse_modes(params.get("modes", "1:1.0:0.0;2:0.0:0.5"), d)
     noise = parse_noise(params)
     trials = _param(params, "trials", int, 10)
     seed = _param(params, "seed", int, 0)
-    tol_kw = _given(params, float, "tol")
+    tol = _param(params, "tol", float, DEFAULT_TOL)
     # worker processes, serial by default: with the default BLAS threads
     # each worker starts its own and a pool is slower than serial
     workers = _param(params, "threads", int, 1)
     if workers < 1:
         raise ValidationError(f"parameter 'threads' must be >= 1, got {params['threads']!r}")
     workers = min(workers, available_cpus())
-    xp.check_sweep_inputs(trials, **tol_kw)
+    xp.check_sweep_inputs(trials, tol)
     resolved = {
         "command": "sweep", "d": d, "s": s, "n_grid": list(n_grid),
         "eps": [schedule.eps_of(n) for n in n_grid],
@@ -282,9 +275,9 @@ def cmd_sweep(params, dry_run):
 
     if workers > 1:
         with Pool(workers) as pool:
-            result = xp.rate_sweep(schedule, g, noise, trials, seed, map_fn=pool.map, **tol_kw)
+            result = xp.rate_sweep(schedule, g, noise, trials, seed, tol, map_fn=pool.map)
     else:
-        result = xp.rate_sweep(schedule, g, noise, trials, seed, **tol_kw)
+        result = xp.rate_sweep(schedule, g, noise, trials, seed, tol)
     if result.failure_count == len(result.records):
         raise SolverError("every trial failed", None)
 
@@ -313,12 +306,12 @@ def cmd_consistency(params, dry_run):
         "command": "consistency", "d": d, "s": s, "eps_grid": eps_grid,
         "n": [rule(e) for e in eps_grid], "trials": trials, "seed": seed,
     }
-    cap_kw = _given(params, int, "n_cap")
-    xp.check_consistency_inputs(s, eps_grid, rule, trials, **cap_kw)
+    n_cap = _param(params, "n_cap", int, xp.CONSISTENCY_N_CAP)
+    xp.check_consistency_inputs(s, eps_grid, rule, trials, n_cap)
     if dry_run:
         return resolved
 
-    result = xp.consistency_sweep(u, s, eps_grid, rule, trials, seed, **cap_kw)
+    result = xp.consistency_sweep(u, s, eps_grid, rule, trials, seed, n_cap)
     xp.write_records_csv(result.records, os.path.join(_outdir(params), "records.csv"))
     # the total's slope sits near 2 (the O(eps^2) nonlocal bias dominates);
     # the O(eps) operator consistency is the stochastic part's slope
@@ -340,12 +333,11 @@ def cmd_degrees(params, dry_run):
     trials = _param(params, "trials", int, 10)
     seed = _param(params, "seed", int, 0)
     density, kernel = parse_density(params), parse_kernel(params)
-    cap_kw = _given(params, float, "cap_mult")
-    xp.check_degree_inputs(n, d, eps, density, trials, **cap_kw)
+    xp.check_degree_inputs(n, d, eps, density, trials)
     resolved = {"command": "degrees", "n": n, "d": d, "eps": eps, "trials": trials}
     if dry_run:
         return resolved
-    summary = xp.degree_concentration_check(n, d, eps, density, kernel, trials, seed, **cap_kw)
+    summary = xp.degree_concentration_check(n, d, eps, density, kernel, trials, seed)
     return {**asdict(summary), "config": resolved}
 
 

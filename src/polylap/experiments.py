@@ -49,6 +49,7 @@ from .graph import (
     apply_poly_laplacian,
     build_graph,
     check_power,
+    cloud_shape,
     degree_statistics,
     l2_mu_n,
 )
@@ -186,14 +187,15 @@ MAX_EXPLICIT_EDGES = 20_000_000
 
 
 def check_operator_size(n, d, eps, kernel):
-    """Raise MemoryError for a cloud whose operator make_operator would not
-    build: an explicit graph with more than MAX_EXPLICIT_EDGES expected
-    edges."""
+    """Whether make_operator builds the O(n) IntervalLaplacian (d = 1 with the
+    indicator kernel) and not the explicit epsilon-graph, which raises
+    MemoryError here if its expected edge count exceeds MAX_EXPLICIT_EDGES."""
     if d == 1 and kernel.kind == "indicator":
-        return
+        return True
     edges = n * (n - 1) / 2 * unit_ball_volume(d) * eps**d
     if edges > MAX_EXPLICIT_EDGES:
         raise MemoryError(f"explicit graph of ~{edges:.3g} edges exceeds {MAX_EXPLICIT_EDGES}")
+    return False
 
 
 def make_operator(points, eps, kernel, want_order=False):
@@ -202,15 +204,11 @@ def make_operator(points, eps, kernel, want_order=False):
     order (None if unchanged or not requested; the permutation costs memory
     at very large n).
 
-    The one place that picks the form: d = 1 with the indicator kernel gets
-    the O(n) IntervalLaplacian, everything else the explicit epsilon-graph.
-    An explicit graph whose expected edge count exceeds MAX_EXPLICIT_EDGES
-    raises MemoryError before it is built.
+    The one place that builds an operator, in the form check_operator_size
+    picks; an oversized explicit graph raises MemoryError before it is built.
     """
-    n, d = points.shape
-    check_operator_size(n, d, eps, kernel)
-    if d == 1 and kernel.kind == "indicator":
-        op = IntervalLaplacian(points[:, 0], eps)
+    if check_operator_size(*cloud_shape(points), eps, kernel):
+        op = IntervalLaplacian(points, eps)
         order = None
         if want_order:
             # np.argsort(x, kind="stable") by way of the faster default sort:
@@ -296,10 +294,15 @@ class SweepResult:
     failure_count: int
 
 
-def check_sweep_inputs(trials_per_n, tol=DEFAULT_TOL):
+def check_trials(trials):
+    """Reject a trial count below one."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
+def check_sweep_inputs(trials_per_n, tol):
     """Reject what rate_sweep cannot run, in the order it would fail on it."""
-    if trials_per_n < 1:
-        raise ValueError("trials_per_n must be >= 1")
+    check_trials(trials_per_n)
     check_tol(tol)
 
 
@@ -404,12 +407,11 @@ def _median_slope(grid, pairs, x_of):
 CONSISTENCY_N_CAP = 100_000_000
 
 
-def check_consistency_inputs(s, eps_grid, n_rule, trials, n_cap=CONSISTENCY_N_CAP):
+def check_consistency_inputs(s, eps_grid, n_rule, trials, n_cap):
     """Reject what consistency_sweep cannot run, before it samples a cloud:
     fewer than one trial, a power s that is not an integer >= 1, or an
     n(eps) above n_cap (MemoryError)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     check_power(s)  # s = 0 would compare u with itself, s < 0 with an inverse power
     for eps in eps_grid:
         n = n_rule(eps)
@@ -496,14 +498,12 @@ class DegreeSummary:
 DEGREE_CAP_MULT = 10.0
 
 
-def check_degree_inputs(n, d, eps, density, trials, cap_mult=DEGREE_CAP_MULT):
+def check_degree_inputs(n, d, eps, density, trials):
     """Reject what degree_concentration_check cannot run, in the order it
     would fail on it."""
-    _check_multiplier("cap_mult", cap_mult)
     if n * eps**d < 1.0:
         raise ValueError("need n * eps^d >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     check_cloud(density, n, d)
 
 
@@ -515,21 +515,20 @@ def degree_concentration_check(
     kernel: KernelProfile,
     trials: int,
     base_seed: int,
-    cap_mult: float = DEGREE_CAP_MULT,
 ) -> DegreeSummary:
     """Degree min/max and neighbor-count cap across independent clouds.
 
     Requires n eps^d >= 1, the concentration regime.  The neighbor cap is
-    cap_mult times the unit-ball volume factor times n eps^d.
+    DEGREE_CAP_MULT times the unit-ball volume factor times n eps^d.
     """
-    check_degree_inputs(n, d, eps, density, trials, cap_mult)
+    check_degree_inputs(n, d, eps, density, trials)
     lo, hi, cnt = math.inf, -math.inf, 0
     for t in range(trials):
         points = sample_cloud(density, n, d, derive_seed(base_seed, t))
         op, _, _ = make_operator(points, eps, kernel)
         mn, mx, mc = degree_statistics(op)
         lo, hi, cnt = min(lo, mn), max(hi, mx), max(cnt, mc)
-    cap = cap_mult * unit_ball_volume(d) * n * eps**d
+    cap = DEGREE_CAP_MULT * unit_ball_volume(d) * n * eps**d
     return DegreeSummary(lo, hi, cnt, cap, cnt <= cap)
 
 
@@ -545,8 +544,7 @@ def ansatz_norm_sweep(
 ):
     """Median of ||w_tilde|| * tau / eps^(2s) per eps; bounded spread checks
     the degree-only response estimate."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     out = []
     for i, eps in enumerate(eps_grid):
         vals = []

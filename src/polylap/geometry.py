@@ -119,10 +119,9 @@ class DensitySpec:
 UNIFORM = DensitySpec("uniform")
 
 
-def make_rng(seed, *path):
-    """Counter-based generator; (seed, *path) indexes an independent stream."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+def make_rng(seed):
+    """Counter-based generator; each seed indexes an independent stream."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
 def check_cloud(spec: DensitySpec, n: int, d: int):

@@ -119,6 +119,14 @@ def _readonly(a):
     return view
 
 
+def cloud_shape(points):
+    """(n, d) of an (n, d) array of points; ValueError for any other shape."""
+    shape = np.shape(points)
+    if len(shape) != 2:
+        raise ValueError(f"points must be an (n, d) array, got shape {shape}")
+    return shape
+
+
 def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> KernelGraph:
     """Exact epsilon-graph on an (n, d) array of points: all and only pairs
     with torus distance < eps.
@@ -130,7 +138,7 @@ def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> Kernel
     row * n + col of both directions orders the entries as CSR stores them.
     """
     check_eps(eps)
-    n, d = points.shape
+    n, d = cloud_shape(points)
     if n == 0:
         raise ValueError("cloud is empty")
     if not (points.min() >= 0.0 and points.max() < 1.0):  # NaN fails both tests
@@ -268,7 +276,8 @@ def _merge_buffers(size):
 
 
 class IntervalLaplacian:
-    """Matrix-free d=1 indicator-kernel Laplacian on sorted points.
+    """Matrix-free d=1 indicator-kernel Laplacian on sorted points, given
+    as a 1-D array of coordinates or an (n, 1) cloud.
 
     Every neighborhood {j : torus_dist(x_i, x_j) < eps} is a cyclic window in
     sorted order, so W u reduces to windowed prefix sums.  Signals are indexed
@@ -286,9 +295,12 @@ class IntervalLaplacian:
     (`_merge_searchsorted`), not by one binary search per point.
     """
 
-    def __init__(self, points_1d, eps):
+    def __init__(self, points, eps):
         check_eps(eps)
-        x = np.sort(np.asarray(points_1d, dtype=float).reshape(-1))
+        x = np.asarray(points, dtype=float)
+        if x.shape not in ((x.size,), (x.size, 1)):
+            raise ValueError(f"points must be a 1-D or an (n, 1) array, got shape {x.shape}")
+        x = np.sort(x.reshape(-1))
         n = x.size
         if n == 0:
             raise ValueError("cloud is empty")

@@ -58,7 +58,7 @@ def check_tau(tau):
         raise ValueError("tau must be finite and >= 0")
 
 
-def check_tol(tol=DEFAULT_TOL):
+def check_tol(tol):
     """Reject a solver tolerance that is not positive and finite."""
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -89,11 +89,8 @@ class SolverError(RuntimeError):
 
 
 def ansatz_signal(graph, xi, tau, s: int = 1):
-    """Degree-only resolvent response: xi_i / (tau (2 D_ii / (n eps^2))^s + 1).
-
-    Doubles as a smallness diagnostic (its norm scales like eps^(2s)/tau)
-    and as the preconditioner diagonal.
-    """
+    """Degree-only resolvent response: xi_i / (tau (2 D_ii / (n eps^2))^s + 1),
+    a smallness diagnostic whose norm scales like eps^(2s)/tau."""
     check_power(s)
     check_tau(tau)
     return np.asarray(xi, dtype=float) / _shifted_diagonal(graph, tau, s)

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from polylap import cli
@@ -25,6 +26,18 @@ def refuse(monkeypatch):
                     monkeypatch.setattr(module, name, fail)
 
     return install
+
+
+@pytest.fixture
+def stream():
+    """stream(seed, *path): the Philox generator of the seed sequence with
+    that entropy and spawn key, so stream(seed) draws what make_rng(seed)
+    draws."""
+
+    def make(seed, *path):
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+
+    return make
 
 
 @pytest.fixture

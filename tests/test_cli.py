@@ -650,11 +650,10 @@ class TestExitCodes:
         (["consistency", "--k_mult=inf"], "k_mult must be finite and > 0, got inf"),
         (["consistency", "--k_mult=inf", "--dry-run"], "k_mult must be finite and > 0, got inf"),
         (["consistency", "--k_mult=0"], "k_mult must be finite and > 0, got 0.0"),
-        (["degrees", "--cap_mult=-1"], "cap_mult must be finite and > 0, got -1.0"),
-    ], ids=["eps-nan", "eps-inf", "tau-inf", "k-inf", "k-inf-dry-run", "k-zero", "cap-negative"])
+    ], ids=["eps-nan", "eps-inf", "tau-inf", "k-inf", "k-inf-dry-run", "k-zero"])
     def test_bad_multiplier_named(self, tmp_path, capsys, argv, message):
         # these once failed with a message about tau or n, an uncaught
-        # OverflowError, or exited 0 with eps capped or a negative cap
+        # OverflowError, or exited 0 with eps capped
         assert run_cli(*argv, "--n_grid=64,128", "--trials=1", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
@@ -681,7 +680,6 @@ class TestExitCodes:
         (["denoise", "--n=40", "--modes=1:1:0", "--density=bogus"], "unknown density 'bogus'"),
         (["degrees", "--n=200", "--density=bogus"], "unknown density 'bogus'"),
         (["degrees", "--n=200", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
-        (["degrees", "--n=200", "--cap_mult=x"], "parameter 'cap_mult' must be a number, got 'x'"),
         (["spectrum", "--n=50", "--density=bogus"], "unknown density 'bogus'"),
         (["spectrum", "--n=50", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
         # checks of the library: sample_cloud's and degree_concentration_check's
@@ -702,13 +700,13 @@ class TestExitCodes:
         (["sweep", "--noise_scale=nan"], "noise_scale must be finite and >= 0, got nan"),
         (["denoise", "--n=40", "--modes=1:1:0", "--tol=-1"], "tol must be positive and finite"),
         (["sweep", "--tol=-1"], "tol must be positive and finite"),
-        (["sweep", "--trials=0"], "trials_per_n must be >= 1"),
+        (["sweep", "--trials=0"], "trials must be >= 1"),
         (["consistency", "--trials=0"], "trials must be >= 1"),
         (["consistency", "--n_cap=10"], "n(eps=0.2) = 201180 exceeds the cap 10"),
         (["denoise", "--d=3", "--n=100000", "--modes=1,0,0:1:0"],
          "explicit graph of ~1.68e+08 edges exceeds 20000000"),
     ], ids=["denoise-n", "denoise-modes", "denoise-noise", "denoise-density",
-            "degrees-density", "degrees-kernel", "degrees-cap", "spectrum-density",
+            "degrees-density", "degrees-kernel", "spectrum-density",
             "spectrum-kernel", "denoise-n-zero", "spectrum-n-zero", "denoise-density-mode",
             "degrees-trials", "degrees-regime", "denoise-tau-negative", "denoise-tau-inf",
             "denoise-tau-nan", "denoise-s-fraction", "denoise-noise-inf", "sweep-noise-nan",

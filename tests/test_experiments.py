@@ -1,10 +1,12 @@
 """Trials, schedules, sweeps, and the records CSV format."""
 
+import ast
 import csv
 import math
 import multiprocessing
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,7 +263,7 @@ class TestRateSweep:
 
     def test_bad_trials(self):
         sch = Schedule(d=1, s=1, n_grid=(64,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
             rate_sweep(sch, G_DEFAULT, NoiseSpec("gaussian", 0.1), 0, 0)
 
     def test_single_n_nan_slopes(self):
@@ -473,6 +475,31 @@ class TestMakeOperator:
             xp.make_operator(points, 0.05, PLATEAU)
         op, _, _ = xp.make_operator(points, 0.05, INDICATOR)  # interval form: no cap
         assert op.n == 100_000
+
+    @pytest.mark.parametrize("kernel", [INDICATOR, PLATEAU])
+    def test_points_not_a_cloud(self, kernel):
+        # a 1-D array once failed with "not enough values to unpack"
+        with pytest.raises(ValueError, match=r"^points must be an \(n, d\) array"):
+            xp.make_operator(np.array([0.1, 0.2, 0.5]), 0.2, kernel)
+
+    def test_only_caller_of_the_constructors(self):
+        # one dispatch: no other function in the package builds an operator
+        constructors = {"build_graph", "IntervalLaplacian"}
+
+        def callers(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) in constructors:
+                    yield scope
+            for child in ast.iter_child_nodes(node):
+                yield from callers(child, scope)
+
+        found = set()
+        for path in Path(xp.__file__).parent.glob("*.py"):
+            found.update(callers(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+        assert found == {"experiments.make_operator"}
 
 
 class TestOperatorOrder:

@@ -59,7 +59,7 @@ class TestTorusDistance:
         assert torus_distance(x, y).shape == (5, 7)
 
     @pytest.mark.parametrize("d", range(1, 8))
-    def test_bitwise_sum_over_coordinates(self, d):
+    def test_bitwise_sum_over_coordinates(self, d, stream):
         # the coordinate-by-coordinate sum against one np.sum over the
         # coordinate axis, as the metric was first written
         def summed(x, y):
@@ -67,7 +67,7 @@ class TestTorusDistance:
             diff = np.minimum(diff, 1.0 - diff)
             return np.sqrt(np.sum(diff * diff, axis=-1))
 
-        rng = make_rng(4, d)
+        rng = stream(4, d)
         wraps = [(0.0, 0.5), (0.0, np.nextafter(1.0, 0.0)), (0.3, 0.3), (0.5, 0.0)]
         x, y = rng.random((2, 1000, d))
         for k, (a, b) in enumerate(wraps):

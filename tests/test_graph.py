@@ -151,6 +151,11 @@ class TestBuildGraph:
             with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\]"):
                 build_graph(cloud, eps)
 
+    def test_points_not_a_cloud(self):
+        # a 1-D array once failed with "not enough values to unpack"
+        with pytest.raises(ValueError, match=r"^points must be an \(n, d\) array"):
+            build_graph(np.array([0.1, 0.2, 0.5]), 0.2)
+
     @pytest.mark.parametrize("bad", [-0.2, 1.0, 1.7, np.nan, np.inf, -np.inf])
     def test_points_outside_unit_torus(self, bad):
         pts = sample_cloud(UNIFORM, 10, 2, 0).copy()
@@ -185,12 +190,12 @@ class TestBuildGraph:
             assert got[k] == pytest.approx(ref[k], rel=1e-14)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_brute_force_random_instances(self, d):
+    def test_brute_force_random_instances(self, d, stream):
         # 20 instances total across dimensions; varied eps and kernels
         kernels = [INDICATOR, PLATEAU]
         cases = 7 if d < 3 else 6
         for case in range(cases):
-            rng = make_rng(100 + d, case)
+            rng = stream(100 + d, case)
             n = int(rng.integers(30, 120))
             eps = float(rng.uniform(0.05, 0.5))
             kernel = kernels[case % 2]
@@ -287,12 +292,12 @@ class TestApplyLaplacian:
         with pytest.raises(ValueError):
             two_point_graph().apply(np.zeros(3))
 
-    def test_matches_dense_matrix(self):
+    def test_matches_dense_matrix(self, stream):
         for seed, d in [(1, 1), (2, 2)]:
             n = 250
             g = build_graph(sample_cloud(UNIFORM, n, d, seed), 0.15)
             lap = dense_laplacian(g)
-            u = make_rng(seed, 1).standard_normal(n)
+            u = stream(seed, 1).standard_normal(n)
             assert np.allclose(g.apply(u), lap @ u, atol=1e-12 * n)
 
     def test_symmetry_and_psd(self):
@@ -460,6 +465,15 @@ class TestIntervalLaplacian:
         assert np.allclose(il.degrees, g.degrees[order], atol=1e-9)
         assert np.array_equal(il.neighbor_counts(), g.neighbor_counts()[order])
 
+    def test_point_shapes(self):
+        # an (n, 2) cloud once became a 2n-point operator on its flattened
+        # coordinates
+        cloud = sample_cloud(UNIFORM, 50, 1, 64)
+        assert np.array_equal(IntervalLaplacian(cloud, 0.1).x, np.sort(cloud[:, 0]))
+        for shape in [(50, 2), (50, 1, 1), (2, 25), ()]:
+            with pytest.raises(ValueError, match=r"^points must be a 1-D or an \(n, 1\) array"):
+                IntervalLaplacian(np.full(shape, 0.25), 0.1)
+
     def test_constant_nullspace(self):
         il = IntervalLaplacian(sample_cloud(UNIFORM, 500, 1, 63)[:, 0], 0.1)
         assert np.max(np.abs(il.apply(np.ones(500)))) < 1e-10
@@ -611,9 +625,9 @@ class TestIntervalApplyBitwise:
     @pytest.mark.parametrize("eps", [0.003, 0.05, 0.2, 0.45, 0.5])
     # ids that do not move with BLOCK
     @pytest.mark.parametrize("n", [1, 7, 1000, N_BLOCKS], ids=["1", "7", "1000", "3BLOCK+17"])
-    def test_matches_reference(self, n, eps):
+    def test_matches_reference(self, n, eps, stream):
         x = sample_cloud(UNIFORM, n, 1, 70 + n)[:, 0]
-        rng = make_rng(71, n)
+        rng = stream(71, n)
         signals = (rng.standard_normal(n), np.ones(n), np.zeros(n), rng.random(n) - 0.5)
         il, ref = assert_matches_reference(x, eps, signals)
         if n == N_BLOCKS and eps >= 0.45:
@@ -786,8 +800,8 @@ class TestApplyOut:
         "n", [1, 7, BLOCK - 1, BLOCK + 1, N_BLOCKS],
         ids=["1", "7", "BLOCK-1", "BLOCK+1", "3BLOCK+17"],
     )
-    def test_interval_in_place(self, n, workers):
-        rng = make_rng(90, n)
+    def test_interval_in_place(self, n, workers, stream):
+        rng = stream(90, n)
         # a 1/64 grid half of the time: equal coordinates across spans
         x = np.where(rng.random(n) < 0.5, rng.integers(0, 64, n) / 64.0, rng.random(n))
         ref = IntervalReference(x, 0.05)
@@ -808,10 +822,10 @@ class TestApplyOut:
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("form", ["explicit", "interval-1", "interval-2"])
-    def test_poly_laplacian_in_place(self, form, s):
+    def test_poly_laplacian_in_place(self, form, s, stream):
         # apply_poly_laplacian(op, u, s, out) follows apply's protocol:
         # bitwise s fresh applies, whichever array it writes
-        rng = make_rng(93, s)
+        rng = stream(93, s)
         with pytest.MonkeyPatch.context() as mp:
             if form == "explicit":
                 op = build_graph(sample_cloud(UNIFORM, 300, 2, 94), 0.15)
