@@ -24,14 +24,17 @@ def check_eps(eps):
         raise ValueError(f"eps={eps} must lie in (0, 1/2]")
 
 
-def torus_distance(x, y):
+def torus_distance(x, y, out=None, work=None):
     """Wrap-around Euclidean distance between points (or arrays of points).
 
     Broadcasts over leading axes; the last axis is the coordinate axis.  The
     squares are summed coordinate by coordinate, in coordinate order (for
     d < 8 bitwise what np.sum over the last axis gives), so every temporary
     is one coordinate wide.  `build_graph` passes transposed (d, m) arrays,
-    whose coordinates are then contiguous rows.
+    whose coordinates are then contiguous rows, and its own buffers: out,
+    float64 of the result's shape, takes the distances, and work, float64
+    of shape (2, *result shape), the temporaries, so the call allocates no
+    array; the bits are those of a call without them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -39,12 +42,20 @@ def torus_distance(x, y):
         raise ValueError(
             f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}"
         )
-    total = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    total = np.empty(shape) if out is None else out
+    work = np.empty((2, *shape)) if work is None else work
+    diff, flip = work[0, ...], work[1, ...]
+    total.fill(0.0)
     for k in range(x.shape[-1]):
-        diff = np.abs(x[..., k] - y[..., k])
-        diff = np.minimum(diff, 1.0 - diff)
-        total += diff * diff
-    return np.sqrt(total)
+        np.subtract(x[..., k], y[..., k], out=diff)
+        np.abs(diff, out=diff)
+        np.subtract(1.0, diff, out=flip)
+        np.minimum(diff, flip, out=diff)
+        diff *= diff
+        total += diff
+    np.sqrt(total, out=total)
+    return total[()] if out is None else out  # a scalar for two points
 
 
 @dataclass(frozen=True)

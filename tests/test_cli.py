@@ -584,20 +584,31 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
 
-    def test_import_leaves_out_scipy_integrate(self):
-        # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
-        # about 180 modules and 0.2 s of start-up that nothing here needs
+    @staticmethod
+    def loaded_by_import(*modules):
+        """Those of modules that importing polylap and polylap.cli loads,
+        in a fresh interpreter."""
         root = pathlib.Path(__file__).resolve().parents[1]
         script = (
             "import sys, polylap, polylap.cli\n"
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n"
+            f"print([m for m in {modules!r} if m in sys.modules])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(root / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        return proc.stdout
+
+    def test_import_leaves_out_scipy_integrate(self):
+        # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
+        # about 180 modules and 0.2 s of start-up that nothing here needs
+        assert self.loaded_by_import("scipy.integrate", "scipy.optimize") == "[]\n"
+
+    def test_import_leaves_out_scipy_spatial(self):
+        # the graph build finds pairs on its own cell grid; scipy.spatial,
+        # and scipy.linalg through it, cost about 0.13 s and 10 MB of RSS
+        assert self.loaded_by_import("scipy.spatial", "scipy.linalg") == "[]\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["bogus"], "argument command: invalid choice: 'bogus'"),

@@ -100,9 +100,11 @@ def coo_assembly(points, eps, kernel):
 
 
 def assert_csr_matches_coo_assembly(points, eps, kernel=INDICATOR):
-    points = np.asarray(points, dtype=float)
+    # build_graph gets the points as they are, float32 included; the
+    # oracle their exact float64 values
+    points = np.asarray(points)
     g = build_graph(points, eps, kernel)
-    ref, ref_degrees = coo_assembly(points, eps, kernel)
+    ref, ref_degrees = coo_assembly(points.astype(float), eps, kernel)
     for got, want in [(g.indptr, ref.indptr), (g.indices, ref.indices)]:
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert_bitwise(g.weights, ref.data)
@@ -234,13 +236,67 @@ class TestBuildGraph:
         assert stored_edges(g) == {(0, 1): pytest.approx(10.0)}
 
 
+class TestCellGrid:
+    """The cell grid that proposes build_graph's candidate pairs, against
+    the all-pairs reference and the cKDTree + COO assembly."""
+
+    @pytest.mark.parametrize("n, d, eps, m", [
+        (1000, 2, 0.125, 15),  # 2/eps = 16 cells would be exactly eps/2 wide
+        (1000, 1, 0.25, 7),
+        (1000, 2, 0.02, 31),  # at most n cells
+        (2**21, 1, 1e-9, graph_module.MAX_CELLS_PER_AXIS),
+        (1000, 3, 0.39, 5),
+        (1000, 2, 0.4, 1),  # fewer than 5 cells per axis: one cell
+        (1000, 3, 0.4000001, 1),
+        (624, 4, 0.05, 1),  # n < 5^d
+        (625, 4, 0.05, 5),
+        (1, 1, 0.01, 1),
+    ])
+    def test_cells_per_axis(self, n, d, eps, m):
+        assert graph_module._cells_per_axis(n, d, eps) == m
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(1, 800),
+        eps=st.one_of(
+            st.sampled_from([0.125, 0.25]),  # 2/eps an integer
+            st.floats(0.4, 0.5, exclude_min=True),  # one cell
+            st.floats(0.01, 0.5),
+        ),
+        kernel=st.sampled_from([INDICATOR, PLATEAU]),
+        on_edges=st.floats(0.0, 1.0),
+        duplicates=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_brute_force(self, d, n, eps, kernel, on_edges, duplicates, seed):
+        # a share of the coordinates on the grid's own cell edges k/m or
+        # one ulp either side, and a share of the points copies of others
+        rng = np.random.default_rng(seed)
+        n = min(n, 5**d + 150)
+        m = graph_module._cells_per_axis(n, d, eps)
+        edges = np.arange(m) / m
+        pool = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0)])
+        points = rng.random((n, d))
+        snap = rng.random((n, d)) < on_edges
+        points[snap] = rng.choice(pool, snap.sum())
+        copy = rng.random(n) < duplicates
+        points[copy] = points[rng.integers(0, n, copy.sum())]
+        g = assert_csr_matches_coo_assembly(points, eps, kernel)
+        ref = brute_force_edges(points, eps, kernel, d)
+        got = stored_edges(g)
+        assert set(got) == set(ref)
+        for k in ref:
+            assert got[k] == pytest.approx(ref[k], rel=1e-14)
+
+
 class TestSortedAssembly:
     """build_graph's CSR, born sorted from row-major keys, against the COO
     assembly it replaced: the same bits, index order and dtypes (grid points
     at exactly eps are checked in test_brute_force_on_grid_points)."""
 
     @pytest.mark.parametrize("kernel", [INDICATOR, PLATEAU], ids=["indicator", "plateau"])
-    @pytest.mark.parametrize("d, n", [(1, 600), (2, 500), (3, 400)])
+    @pytest.mark.parametrize("d, n", [(1, 600), (2, 500), (3, 400), (4, 700), (5, 3200)])
     def test_random_clouds(self, d, n, kernel):
         for seed, eps in enumerate([0.02, 0.11, 0.3, 0.5]):
             g = assert_csr_matches_coo_assembly(sample_cloud(UNIFORM, n, d, 80 + seed), eps, kernel)
@@ -261,9 +317,19 @@ class TestSortedAssembly:
         g = assert_csr_matches_coo_assembly(points, eps)
         assert g.indptr.dtype == g.indices.dtype == np.int32
 
-    # traced peak bytes per undirected edge of one build: the sorted
-    # assembly measured 65 (d = 2) and 81 (d = 3), the COO assembly 105 and 120
-    @pytest.mark.parametrize("n, d, eps, budget", [(3400, 2, 0.05, 75), (5200, 3, 0.125, 90)])
+    @pytest.mark.parametrize("kernel", [INDICATOR, PLATEAU], ids=["indicator", "plateau"])
+    @pytest.mark.parametrize("d, n", [(1, 600), (2, 500), (3, 400), (4, 700)])
+    def test_float32_clouds(self, d, n, kernel, stream):
+        # the grid measures float32 clouds in float64, as the oracle does
+        for seed, eps in enumerate([0.02, 0.11, 0.3, 0.5]):
+            points = stream(90 + seed).random((n, d), dtype=np.float32)
+            g = assert_csr_matches_coo_assembly(points, eps, kernel)
+            assert g.edge_count > 0 or eps == 0.02
+
+    # traced peak bytes per undirected edge of one build: the cell grid
+    # measured 63 (d = 2) and 50 (d = 3), the cKDTree candidates with the
+    # sorted assembly 65 and 81, and with the COO assembly 105 and 120
+    @pytest.mark.parametrize("n, d, eps, budget", [(3400, 2, 0.05, 70), (5200, 3, 0.125, 55)])
     def test_memory_budget(self, traced_peak, n, d, eps, budget):
         points = sample_cloud(UNIFORM, n, d, 0)
         g, peak = traced_peak(build_graph, points, eps)
