@@ -2,9 +2,10 @@
 
 Subcommands: denoise, sweep, consistency, degrees, spectrum.  Parameters
 live in an INI-style config file with one section per command; any key can
-be overridden on the command line with --key=value (flags win).  Outputs go
-to a fixed layout under the output directory: records.csv, summary.json,
-config.echo.
+be overridden on the command line with --key=value (flags win).  KEYS
+declares the keys each command reads; any other key is a validation error.
+Outputs go to a fixed layout under the output directory: records.csv,
+summary.json, config.echo.
 
 Exit codes: 0 success, 1 validation or usage error, 2 solver failure, 3 I/O
 error.
@@ -67,92 +68,126 @@ def parse_modes(text, d):
         pieces = part.split(":")
         if len(pieces) != 3:
             raise ValidationError(f"bad mode entry {part!r} (want k:a:b)")
-        k = tuple(_number(int, c, "parameter 'modes'") for c in pieces[0].split(","))
-        a, b = (_number(float, v, "parameter 'modes'") for v in pieces[1:])
+        k = tuple(_convert([int], pieces[0], "modes"))
+        a, b = (_convert(float, v, "modes") for v in pieces[1:])
         entries.append((k, a, b))
     if not entries:
         raise ValidationError("empty mode list")
     return FourierFunction.from_modes(d, entries)
 
 
-def parse_density(params):
-    kind = params.get("density", UNIFORM.kind)
-    if kind == UNIFORM.kind:
+def _density(p):
+    if p["density"] == UNIFORM.kind:
         return UNIFORM
-    if kind == "cosine_bump":
-        amp = _param(params, "density_amplitude", float, 0.5)
-        mode = tuple(_param_list(params, "density_mode", int, "1"))
-        return DensitySpec("cosine_bump", amp, mode)
-    raise ValidationError(f"unknown density {kind!r}")
+    if p["density"] == "cosine_bump":
+        return DensitySpec("cosine_bump", p["density_amplitude"], tuple(p["density_mode"]))
+    raise ValidationError(f"unknown density {p['density']!r}")
 
 
-def parse_noise(params):
-    kind = _param(params, "noise", str, xp.NoiseSpec.kind)
-    return xp.NoiseSpec(kind, _param(params, "noise_scale", float, xp.NoiseSpec.scale))
+# Every key a command reads, as key: (converter, default).  The converter is
+# int, float, str, or [int] / [float] for a comma-separated list; a default
+# is converted like a given value, and a key with default None stays unset
+# until given, so reading it reports a missing parameter.
+_COMMON = {"d": (int, 1), "seed": (int, 0), "out": (str, "out")}
+_NOISE = {"noise": (str, xp.NoiseSpec.kind), "noise_scale": (float, xp.NoiseSpec.scale)}
+_DENSITY = {
+    "density": (str, UNIFORM.kind), "density_amplitude": (float, 0.5),
+    "density_mode": ([int], "1"),
+}
+_KERNEL = {"kernel": (str, KernelProfile.kind)}
+KEYS = {
+    "denoise": {
+        **_COMMON, "s": (int, 1), "eps": (float, None), "tau": (float, 0.01),
+        "tol": (float, DEFAULT_TOL), **_KERNEL, "input_csv": (str, None),
+        "n": (int, None), "modes": (str, None), **_NOISE, **_DENSITY,
+    },
+    "sweep": {
+        **_COMMON, "s": (int, 1), "n_grid": ([int], "1024,2048,4096,8192,16384,32768"),
+        "eps_mult": (float, xp.Schedule.eps_mult), "tau_mult": (float, xp.Schedule.tau_mult),
+        "modes": (str, "1:1.0:0.0;2:0.0:0.5"), **_NOISE, "trials": (int, 10),
+        "tol": (float, DEFAULT_TOL), "threads": (int, 1),
+    },
+    "consistency": {
+        **_COMMON, "s": (int, 1), "modes": (str, "1:0.0:1.0"),
+        "eps_grid": ([float], "0.2,0.14,0.1,0.07"), "k_mult": (float, 40.0), "trials": (int, 5),
+    },
+    "degrees": {
+        **_COMMON, "n": (int, 10000), "eps": (float, 0.05), "trials": (int, 10),
+        **_DENSITY, **_KERNEL,
+    },
+    "spectrum": {
+        **_COMMON, "eps": (float, None), **_KERNEL, "input_csv": (str, None),
+        "n": (int, 100), **_DENSITY,
+    },
+}
+# the keys of a sampled cloud: with input_csv they would have no effect
+_CLOUD_KEYS = {"n", "modes", *_NOISE, *_DENSITY}
 
 
-def parse_kernel(params):
-    return KernelProfile(params.get("kernel", KernelProfile.kind))
-
-
-def _number(conv, text, name):
-    """conv(text) for conv int or float, or a ValidationError that names
-    the parameter the text came from."""
+def _convert(conv, text, key):
+    """text converted as KEYS declares, or a ValidationError that names key."""
+    if isinstance(conv, list):
+        return [_convert(conv[0], v, key) for v in text.split(",")]
+    if conv is str:
+        return text
     try:
         return conv(text)
     except ValueError:
         kind = "an integer" if conv is int else "a number"
-        raise ValidationError(f"{name} must be {kind}, got {text!r}") from None
-
-
-def _param(params, key, conv, default=None):
-    """Key as conv, or default (a library constant by name) if it is unset;
-    without a default an unset key is a missing parameter (KeyError)."""
-    text = params[key] if default is None else params.get(key, default)
-    return _number(conv, text, f"parameter {key!r}")
-
-
-def _param_list(params, key, conv, default):
-    """Comma-separated numeric key as a list of conv."""
-    return [_number(conv, v, f"parameter {key!r}") for v in params.get(key, default).split(",")]
+        raise ValidationError(f"parameter {key!r} must be {kind}, got {text!r}") from None
 
 
 def _collect_params(args, extras):
+    """The command's parameters, resolved once against KEYS: the config
+    section, then the --key=value overrides, then the built-in flags."""
     cfg = configparser.ConfigParser()
     if args.config:
         if not os.path.exists(args.config):
             raise ValidationError(f"config file {args.config!r} not found")
         cfg.read(args.config)
-    params = {}
+    given = {}
     if cfg.has_section(args.command):
-        params.update(dict(cfg.items(args.command)))
+        given.update(dict(cfg.items(args.command)))
     errors = []
     for extra in extras:
         if not extra.startswith("--") or "=" not in extra:
             errors.append(f"cannot parse override {extra!r} (want --key=value)")
             continue
         key, _, value = extra[2:].partition("=")
-        params[key.replace("-", "_")] = value
+        given[key.replace("-", "_")] = value
     if errors:
         raise ValidationError("; ".join(errors))
-    # the built-in flags win; --seed and --threads are parsed as numbers with
-    # the other keys, so a bad value is named like any other
+    # the built-in flags win; --seed and --threads are converted with the
+    # other keys, so a bad value is named like any other
     for key in ("out", "seed", "threads"):
         if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
+            given[key] = getattr(args, key)
+    keys = KEYS[args.command]
+    if "input_csv" in keys and "input_csv" in given:
+        keys = {k: v for k, v in keys.items() if k not in _CLOUD_KEYS}
+    for key in given:
+        if key not in keys:
+            why = " with input_csv" if key in KEYS[args.command] else ""
+            raise ValidationError(f"{args.command} does not read parameter {key!r}{why}")
+    params = {}
+    for key, (conv, default) in keys.items():
+        text = given.get(key, default)
+        if text is not None:
+            params[key] = _convert(conv, text, key)
     return params
 
 
-def _outdir(params):
-    out = params.get("out", "out")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _outdir(p):
+    os.makedirs(p["out"], exist_ok=True)
+    return p["out"]
 
 
-def _echo_config(out, params):
+def _echo_config(out, config):
+    """One key=value line per key, a list comma-joined as it is given."""
     with open(os.path.join(out, "config.echo"), "w", encoding="utf-8") as f:
-        for key in sorted(params):
-            f.write(f"{key}={params[key]}\n")
+        for key, value in sorted(config.items()):
+            value = ",".join(map(str, value)) if isinstance(value, list) else value
+            f.write(f"{key}={value}\n")
 
 
 def _write_json(path, payload):
@@ -192,32 +227,25 @@ def _load_points_csv(path, d):
     return points, np.array(labels)
 
 
-def cmd_denoise(params, dry_run):
-    d = _param(params, "d", int, 1)
-    s = _param(params, "s", int, 1)
-    eps = _param(params, "eps", float)
-    tau = _param(params, "tau", float, 0.01)
-    tol = _param(params, "tol", float, DEFAULT_TOL)
-    kernel = parse_kernel(params)
-    seed = _param(params, "seed", int, 0)
+def cmd_denoise(p, dry_run):
+    d, s, eps, tau, tol = p["d"], p["s"], p["eps"], p["tau"], p["tol"]
+    kernel = KernelProfile(p["kernel"])
     check_eps(eps)
     check_power(s)
-    csv = params.get("input_csv")
+    csv = p.get("input_csv")
     if csv is None:  # the generated cloud's keys, checked by the dry run too
-        n = _param(params, "n", int)
-        g = parse_modes(params["modes"], d)
-        noise = parse_noise(params)
-        density = parse_density(params)
+        n, g = p["n"], parse_modes(p["modes"], d)
+        noise, density = xp.NoiseSpec(p["noise"], p["noise_scale"]), _density(p)
         check_cloud(density, n, d)
         xp.check_operator_size(n, d, eps, kernel)
     check_tau(tau)
     check_tol(tol)
     if dry_run:
-        return {"command": "denoise", "d": d, "s": s, "eps": eps, "tau": tau}
+        return {}
 
     if csv is None:
-        points = sample_cloud(density, n, d, seed)
-        y = xp.gen_labels(g, points, noise, xp.derive_seed(seed, 1))
+        points = sample_cloud(density, n, d, p["seed"])
+        y = xp.gen_labels(g, points, noise, xp.derive_seed(p["seed"], 1))
     else:
         points, y = _load_points_csv(csv, d)
 
@@ -231,7 +259,7 @@ def cmd_denoise(params, dry_run):
         u = np.empty_like(u)
         u[order] = report.solution
 
-    with open(os.path.join(_outdir(params), "records.csv"), "w", encoding="utf-8") as f:
+    with open(os.path.join(_outdir(p), "records.csv"), "w", encoding="utf-8") as f:
         f.write(",".join([f"x{i + 1}" for i in range(d)] + ["y", "u"]) + "\n")
         # column-wise to Python floats once; repr is the shortest round-trip form
         columns = [*points.T.tolist(), y.tolist(), u.tolist()]
@@ -245,43 +273,31 @@ def cmd_denoise(params, dry_run):
     }
 
 
-def cmd_sweep(params, dry_run):
-    d = _param(params, "d", int, 1)
-    s = _param(params, "s", int, 1)
-    n_grid = tuple(_param_list(params, "n_grid", int, "1024,2048,4096,8192,16384,32768"))
-    eps_mult = _param(params, "eps_mult", float, xp.Schedule.eps_mult)
-    tau_mult = _param(params, "tau_mult", float, xp.Schedule.tau_mult)
-    schedule = xp.Schedule(d, s, n_grid, eps_mult, tau_mult)
-    g = parse_modes(params.get("modes", "1:1.0:0.0;2:0.0:0.5"), d)
-    noise = parse_noise(params)
-    trials = _param(params, "trials", int, 10)
-    seed = _param(params, "seed", int, 0)
-    tol = _param(params, "tol", float, DEFAULT_TOL)
+def cmd_sweep(p, dry_run):
+    schedule = xp.Schedule(p["d"], p["s"], tuple(p["n_grid"]), p["eps_mult"], p["tau_mult"])
+    g = parse_modes(p["modes"], p["d"])
+    noise = xp.NoiseSpec(p["noise"], p["noise_scale"])
     # worker processes, serial by default: with the default BLAS threads
     # each worker starts its own and a pool is slower than serial
-    workers = _param(params, "threads", int, 1)
-    if workers < 1:
-        raise ValidationError(f"parameter 'threads' must be >= 1, got {params['threads']!r}")
-    workers = min(workers, available_cpus())
-    xp.check_sweep_inputs(trials, tol)
-    resolved = {
-        "command": "sweep", "d": d, "s": s, "n_grid": list(n_grid),
-        "eps": [schedule.eps_of(n) for n in n_grid],
-        "tau": [schedule.tau_of(n) for n in n_grid],
-        "trials": trials, "seed": seed,
-    }
+    if p["threads"] < 1:
+        raise ValidationError(f"parameter 'threads' must be >= 1, got '{p['threads']}'")
+    xp.check_sweep_inputs(p["trials"], p["tol"])
+    p["eps"] = [schedule.eps_of(n) for n in p["n_grid"]]
+    p["tau"] = [schedule.tau_of(n) for n in p["n_grid"]]
     if dry_run:
-        return resolved
+        return {}
 
+    args = (schedule, g, noise, p["trials"], p["seed"], p["tol"])
+    workers = min(p["threads"], available_cpus())
     if workers > 1:
         with Pool(workers) as pool:
-            result = xp.rate_sweep(schedule, g, noise, trials, seed, tol, map_fn=pool.map)
+            result = xp.rate_sweep(*args, map_fn=pool.map)
     else:
-        result = xp.rate_sweep(schedule, g, noise, trials, seed, tol)
+        result = xp.rate_sweep(*args)
     if result.failure_count == len(result.records):
         raise SolverError("every trial failed", None)
 
-    xp.write_records_csv(result.records, os.path.join(_outdir(params), "records.csv"))
+    xp.write_records_csv(result.records, os.path.join(_outdir(p), "records.csv"))
     return {
         "slope": result.slope_vs_rate,
         "stderr": result.slope_vs_rate_stderr,
@@ -289,30 +305,20 @@ def cmd_sweep(params, dry_run):
         "slope_vs_n": result.slope_vs_n,
         "slope_vs_n_stderr": result.slope_vs_n_stderr,
         "failures": result.failure_count,
-        "config": resolved,
     }
 
 
-def cmd_consistency(params, dry_run):
-    d = _param(params, "d", int, 1)
-    s = _param(params, "s", int, 1)
-    u = parse_modes(params.get("modes", "1:0.0:1.0"), d)
-    eps_grid = _param_list(params, "eps_grid", float, "0.2,0.14,0.1,0.07")
-    k_mult = _param(params, "k_mult", float, 40.0)
-    trials = _param(params, "trials", int, 5)
-    seed = _param(params, "seed", int, 0)
-    rule = xp.default_n_rule(k_mult, d, s)
-    resolved = {
-        "command": "consistency", "d": d, "s": s, "eps_grid": eps_grid,
-        "n": [rule(e) for e in eps_grid], "trials": trials, "seed": seed,
-    }
-    n_cap = _param(params, "n_cap", int, xp.CONSISTENCY_N_CAP)
-    xp.check_consistency_inputs(s, eps_grid, rule, trials, n_cap)
+def cmd_consistency(p, dry_run):
+    s, eps_grid = p["s"], p["eps_grid"]
+    u = parse_modes(p["modes"], p["d"])
+    rule = xp.default_n_rule(p["k_mult"], p["d"], s)
+    p["n"] = [rule(e) for e in eps_grid]
+    xp.check_consistency_inputs(s, eps_grid, rule, p["trials"])
     if dry_run:
-        return resolved
+        return {}
 
-    result = xp.consistency_sweep(u, s, eps_grid, rule, trials, seed, n_cap)
-    xp.write_records_csv(result.records, os.path.join(_outdir(params), "records.csv"))
+    result = xp.consistency_sweep(u, s, eps_grid, rule, p["trials"], p["seed"])
+    xp.write_records_csv(result.records, os.path.join(_outdir(p), "records.csv"))
     # the total's slope sits near 2 (the O(eps^2) nonlocal bias dominates);
     # the O(eps) operator consistency is the stochastic part's slope
     return {
@@ -321,52 +327,45 @@ def cmd_consistency(params, dry_run):
         "stochastic_slope": result.stochastic_slope,
         "stochastic_stderr": result.stochastic_slope_stderr,
         "nonlocal_bias": [result.nonlocal_bias[e] for e in eps_grid],
-        "config": resolved,
     }
 
 
-def cmd_degrees(params, dry_run):
-    n = _param(params, "n", int, 10000)
-    d = _param(params, "d", int, 1)
-    eps = _param(params, "eps", float, 0.05)
+def cmd_degrees(p, dry_run):
+    n, d, eps, trials = p["n"], p["d"], p["eps"], p["trials"]
     check_eps(eps)
-    trials = _param(params, "trials", int, 10)
-    seed = _param(params, "seed", int, 0)
-    density, kernel = parse_density(params), parse_kernel(params)
+    density, kernel = _density(p), KernelProfile(p["kernel"])
     xp.check_degree_inputs(n, d, eps, density, trials)
-    resolved = {"command": "degrees", "n": n, "d": d, "eps": eps, "trials": trials}
     if dry_run:
-        return resolved
-    summary = xp.degree_concentration_check(n, d, eps, density, kernel, trials, seed)
-    return {**asdict(summary), "config": resolved}
+        return {}
+    return asdict(xp.degree_concentration_check(n, d, eps, density, kernel, trials, p["seed"]))
 
 
-def cmd_spectrum(params, dry_run):
-    d = _param(params, "d", int, 1)
-    eps = _param(params, "eps", float)
+def cmd_spectrum(p, dry_run):
+    d, eps = p["d"], p["eps"]
     check_eps(eps)
-    seed = _param(params, "seed", int, 0)
-    kernel = parse_kernel(params)
-    if "input_csv" in params:
-        points, _ = _load_points_csv(params["input_csv"], d)
-        n = len(points)
+    kernel = KernelProfile(p["kernel"])
+    if "input_csv" in p:
+        points, _ = _load_points_csv(p["input_csv"], d)
+        p["n"] = len(points)
     else:
-        points, n = None, _param(params, "n", int, 100)
-        density = parse_density(params)
+        points, density = None, _density(p)
+    n = p["n"]
     if n > DENSE_THRESHOLD:  # before any cloud is sampled or operator built
         raise ValidationError(f"n={n} exceeds the dense spectrum threshold {DENSE_THRESHOLD}")
     if points is None:
         check_cloud(density, n, d)
-    resolved = {"command": "spectrum", "d": d, "eps": eps, "n": n}
     if dry_run:
-        return resolved
+        return {}
     if points is None:
-        points = sample_cloud(density, n, d, seed)
+        points = sample_cloud(density, n, d, p["seed"])
     op, _, _ = xp.make_operator(points, eps, kernel)
     vals, _ = dense_spectrum(op)
-    return {"eigenvalues": [float(v) for v in vals], "config": resolved}
+    return {"eigenvalues": [float(v) for v in vals]}
 
 
+# Each command reads its resolved parameters from p and adds to p what it
+# derives from them, so that the dry run, summary.json's "config" and
+# config.echo show one mapping; a dry run returns {} after the run's checks.
 COMMANDS = {
     "denoise": cmd_denoise,
     "sweep": cmd_sweep,
@@ -391,13 +390,14 @@ def main(argv=None):
     try:
         args, extras = parser.parse_known_args(argv)
         params = _collect_params(args, extras)
-        result = COMMANDS[args.command](params, args.dry_run)
+        summary = COMMANDS[args.command](params, args.dry_run)
+        summary["config"] = {"command": args.command, **params}
         # NaN and Infinity are not JSON: write an undefined value as null
-        result = json.loads(json.dumps(result), parse_constant=lambda _: None)
+        summary = json.loads(json.dumps(summary), parse_constant=lambda _: None)
         if not args.dry_run:
             out = _outdir(params)
-            _write_json(os.path.join(out, "summary.json"), result)
-            _echo_config(out, params)
+            _write_json(os.path.join(out, "summary.json"), summary)
+            _echo_config(out, summary["config"])
     except KeyError as err:  # a required key that no config or flag set
         print(f"validation error: missing parameter {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -411,11 +411,9 @@ def main(argv=None):
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
 
-    if args.dry_run:
-        print(json.dumps(result, indent=2, sort_keys=True, allow_nan=False))
-    else:
-        print(json.dumps({k: v for k, v in result.items() if k != "config"},
-                         indent=2, sort_keys=True, allow_nan=False))
+    config = summary.pop("config")
+    print(json.dumps(config if args.dry_run else summary, indent=2, sort_keys=True,
+                     allow_nan=False))
     return EXIT_OK
 
 

@@ -407,16 +407,16 @@ def _median_slope(grid, pairs, x_of):
 CONSISTENCY_N_CAP = 100_000_000
 
 
-def check_consistency_inputs(s, eps_grid, n_rule, trials, n_cap):
+def check_consistency_inputs(s, eps_grid, n_rule, trials):
     """Reject what consistency_sweep cannot run, before it samples a cloud:
     fewer than one trial, a power s that is not an integer >= 1, or an
-    n(eps) above n_cap (MemoryError)."""
+    n(eps) above CONSISTENCY_N_CAP (MemoryError)."""
     check_trials(trials)
     check_power(s)  # s = 0 would compare u with itself, s < 0 with an inverse power
     for eps in eps_grid:
         n = n_rule(eps)
-        if n > n_cap:
-            raise MemoryError(f"n(eps={eps}) = {n} exceeds the cap {n_cap}")
+        if n > CONSISTENCY_N_CAP:
+            raise MemoryError(f"n(eps={eps}) = {n} exceeds the cap {CONSISTENCY_N_CAP}")
 
 
 def consistency_sweep(
@@ -426,7 +426,6 @@ def consistency_sweep(
     n_rule,
     trials: int,
     base_seed: int,
-    n_cap: int = CONSISTENCY_N_CAP,
 ) -> ConsistencyResult:
     """Empirical ||Delta_n^s u - Delta_rho^s u|_nodes|| across an eps grid,
     with its split against the exact nonlocal reference Delta_eps^s u.
@@ -442,7 +441,7 @@ def consistency_sweep(
     operator, that signal and one apply's prefix sums, 36 bytes per point.
     The two references then take the residuals in place.
     """
-    check_consistency_inputs(s, eps_grid, n_rule, trials, n_cap)
+    check_consistency_inputs(s, eps_grid, n_rule, trials)
     d = u.d
     sigma = sigma_eta(INDICATOR, d)
     ref = continuum_laplacian_uniform(u, sigma, s)

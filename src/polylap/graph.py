@@ -146,6 +146,7 @@ def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> Kernel
     row * n + col of both directions orders the entries as CSR stores them.
     """
     check_eps(eps)
+    points = np.asarray(points, dtype=float)
     n, d = cloud_shape(points)
     if n == 0:
         raise ValueError("cloud is empty")

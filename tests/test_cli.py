@@ -62,13 +62,18 @@ class TestDryRun:
         assert run_cli("spectrum", "--dry-run", "--eps=0.2", "--n=50") == 0
         assert json.loads(capsys.readouterr().out)["n"] == 50
 
-    def test_denoise_input_csv_skips_cloud_keys(self, tmp_path, capsys):
-        # with input_csv the real run reads no n, modes, noise or density,
-        # so neither does the dry run
-        argv = ["denoise", "--eps=0.2", "--n=abc", "--modes=garbage", "--noise=bogus",
-                f"--input-csv={tmp_path / 'absent.csv'}", "--dry-run"]
-        assert run_cli(*argv) == 0
-        assert json.loads(capsys.readouterr().out)["eps"] == 0.2
+    @pytest.mark.parametrize("argv, key", [
+        (["denoise", "--n=abc", "--modes=garbage", "--noise=bogus"], "n"),
+        (["spectrum", "--density=cosine_bump"], "density"),
+    ], ids=["denoise", "spectrum"])
+    def test_input_csv_rejects_cloud_keys(self, tmp_path, capsys, argv, key):
+        # with input_csv the run reads no n, modes, noise or density: a cloud
+        # key there is as much a mistake as a typo, and this exited 0
+        argv = [*argv, "--eps=0.2", f"--input-csv={tmp_path / 'absent.csv'}", "--dry-run"]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {argv[0]} does not read parameter {key!r} with input_csv\n"
+        )
 
 
 class TestDenoise:
@@ -480,9 +485,41 @@ class TestExitCodes:
         assert "parameter 'threads' must be an integer, got 'two'" in capsys.readouterr().err
 
     def test_memory_cap_maps_to_validation(self):
-        assert run_cli(
-            "consistency", "--eps-grid=0.05", "--k-mult=40", "--n-cap=1000", "--trials=1"
-        ) == 1
+        # n(0.05) = 383453732 is above CONSISTENCY_N_CAP
+        assert run_cli("consistency", "--eps-grid=0.05", "--k-mult=40", "--trials=1") == 1
+
+    @pytest.mark.parametrize("argv, key", [
+        (["denoise", "--eps=0.2", "--n=50", "--modes=1:1:0", "--tua=5"], "tua"),
+        (["sweep", "--n_grid=64,128", "--trails=1"], "trails"),
+        (["consistency", "--eps_grid=0.3,0.2", "--k-mul=0.5"], "k_mul"),
+        (["degrees", "--n=200", "--esp=0.2"], "esp"),
+        (["spectrum", "--eps=0.2", "--n=50", "--kernal=plateau"], "kernal"),
+        (["degrees", "--cap_mult=5"], "cap_mult"),
+        (["denoise", "--eps=0.2", "--n=50", "--modes=1:1:0", "--threads=2"], "threads"),
+        (["denoise", "--eps=0.2", "--n=50", "--modes=1:1:0", "--threads", "2"], "threads"),
+        (["consistency", "--n_cap=200000000"], "n_cap"),
+    ], ids=["denoise", "sweep", "consistency", "degrees", "spectrum", "degrees-cap-mult",
+            "denoise-threads", "denoise-threads-flag", "consistency-n-cap"])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_unread_key_named(self, tmp_path, capsys, argv, key, dry_run):
+        # each of these exited 0 with the key unread
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out), *(["--dry-run"] if dry_run else [])) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {argv[0]} does not read parameter {key!r}\n"
+        )
+        assert not out.exists()
+
+    def test_unread_config_key_named(self, tmp_path, capsys):
+        # a section is checked against its own command only
+        config = tmp_path / "run.ini"
+        config.write_text("[denoise]\neps = 0.2\n[sweep]\nn_grid = 64,128\ntrails = 1\n")
+        assert run_cli("sweep", "--config", str(config), "--dry-run") == 1
+        assert capsys.readouterr().err == (
+            "validation error: sweep does not read parameter 'trails'\n"
+        )
+        config.write_text("[denoise]\neps = 0.2\n[sweep]\nn_grid = 64,128\ntrials = 1\n")
+        assert run_cli("sweep", "--config", str(config), "--dry-run") == 0
 
     def test_solver_failure(self, tmp_path):
         # an unreachable tolerance exhausts the iteration cap
@@ -577,6 +614,26 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
 
+    def test_benchmark_command_lines_pass_the_key_check(self, tmp_path):
+        # every full and tiny benchmark op as perfbench/run.py calls it; a key
+        # the CLI rejects would fail every op of its workload
+        root = pathlib.Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+        script = (
+            "import json, sys, run, polylap.cli as cli\n"
+            "print(json.dumps([f'{workload} {size}'\n"
+            "                  for workload, sizes in run.WORKLOADS.items()\n"
+            "                  for size, argv in sizes.items()\n"
+            "                  if cli.main(argv + ['--seed=0', '--dry-run',\n"
+            "                                      '--out', sys.argv[1]]) != 0]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [], proc.stdout
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "polylap.cli", "sweep", "--dry-run"],
@@ -655,9 +712,12 @@ class TestExitCodes:
         assert not (tmp_path / "records.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["sweep", "--eps_mult=nan"], "eps_mult must be finite and > 0, got nan"),
-        (["sweep", "--eps_mult=inf"], "eps_mult must be finite and > 0, got inf"),
-        (["sweep", "--tau_mult=inf"], "tau_mult must be finite and > 0, got inf"),
+        (["sweep", "--eps_mult=nan", "--n_grid=64,128"],
+         "eps_mult must be finite and > 0, got nan"),
+        (["sweep", "--eps_mult=inf", "--n_grid=64,128"],
+         "eps_mult must be finite and > 0, got inf"),
+        (["sweep", "--tau_mult=inf", "--n_grid=64,128"],
+         "tau_mult must be finite and > 0, got inf"),
         (["consistency", "--k_mult=inf"], "k_mult must be finite and > 0, got inf"),
         (["consistency", "--k_mult=inf", "--dry-run"], "k_mult must be finite and > 0, got inf"),
         (["consistency", "--k_mult=0"], "k_mult must be finite and > 0, got 0.0"),
@@ -665,7 +725,7 @@ class TestExitCodes:
     def test_bad_multiplier_named(self, tmp_path, capsys, argv, message):
         # these once failed with a message about tau or n, an uncaught
         # OverflowError, or exited 0 with eps capped
-        assert run_cli(*argv, "--n_grid=64,128", "--trials=1", "--out", str(tmp_path)) == 1
+        assert run_cli(*argv, "--trials=1", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
@@ -684,37 +744,44 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("argv, message", [
-        (["denoise", "--n=abc", "--modes=1:1:0"], "parameter 'n' must be an integer, got 'abc'"),
-        (["denoise", "--n=40", "--modes=garbage"], "bad mode entry 'garbage' (want k:a:b)"),
-        (["denoise", "--n=40", "--modes=1:1:0", "--noise=bogus"],
+        (["denoise", "--eps=0.2", "--n=abc", "--modes=1:1:0"],
+         "parameter 'n' must be an integer, got 'abc'"),
+        (["denoise", "--eps=0.2", "--n=40", "--modes=garbage"],
+         "bad mode entry 'garbage' (want k:a:b)"),
+        (["denoise", "--eps=0.2", "--n=40", "--modes=1:1:0", "--noise=bogus"],
          "unknown noise kind 'bogus'"),
-        (["denoise", "--n=40", "--modes=1:1:0", "--density=bogus"], "unknown density 'bogus'"),
-        (["degrees", "--n=200", "--density=bogus"], "unknown density 'bogus'"),
-        (["degrees", "--n=200", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
-        (["spectrum", "--n=50", "--density=bogus"], "unknown density 'bogus'"),
-        (["spectrum", "--n=50", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
+        (["denoise", "--eps=0.2", "--n=40", "--modes=1:1:0", "--density=bogus"],
+         "unknown density 'bogus'"),
+        (["degrees", "--eps=0.2", "--n=200", "--density=bogus"], "unknown density 'bogus'"),
+        (["degrees", "--eps=0.2", "--n=200", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
+        (["spectrum", "--eps=0.2", "--n=50", "--density=bogus"], "unknown density 'bogus'"),
+        (["spectrum", "--eps=0.2", "--n=50", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
         # checks of the library: sample_cloud's and degree_concentration_check's
-        (["denoise", "--n=0", "--modes=1:1:0"], "need n >= 1 and d >= 1"),
-        (["spectrum", "--n=0"], "need n >= 1 and d >= 1"),
-        (["denoise", "--d=1", "--n=10", "--modes=1:1:0", "--density=cosine_bump",
+        (["denoise", "--eps=0.2", "--n=0", "--modes=1:1:0"], "need n >= 1 and d >= 1"),
+        (["spectrum", "--eps=0.2", "--n=0"], "need n >= 1 and d >= 1"),
+        (["denoise", "--eps=0.2", "--d=1", "--n=10", "--modes=1:1:0", "--density=cosine_bump",
           "--density_mode=1,1"], "mode vector length must equal d"),
-        (["degrees", "--trials=0"], "trials must be >= 1"),
-        (["degrees", "--n=10", "--d=2"], "need n * eps^d >= 1"),
+        (["degrees", "--eps=0.2", "--trials=0"], "trials must be >= 1"),
+        (["degrees", "--eps=0.2", "--n=10", "--d=2"], "need n * eps^d >= 1"),
         # the solver's, rate_sweep's, consistency_sweep's and make_operator's
-        (["denoise", "--n=40", "--modes=1:1:0", "--tau=-1"], "tau must be finite and >= 0"),
-        (["denoise", "--n=40", "--modes=1:1:0", "--tau=inf"], "tau must be finite and >= 0"),
-        (["denoise", "--n=40", "--modes=1:1:0", "--tau=nan"], "tau must be finite and >= 0"),
-        (["denoise", "--n=40", "--modes=1:1:0", "--s=1.5"],
+        (["denoise", "--eps=0.2", "--n=40", "--modes=1:1:0", "--tau=-1"],
+         "tau must be finite and >= 0"),
+        (["denoise", "--eps=0.2", "--n=40", "--modes=1:1:0", "--tau=inf"],
+         "tau must be finite and >= 0"),
+        (["denoise", "--eps=0.2", "--n=40", "--modes=1:1:0", "--tau=nan"],
+         "tau must be finite and >= 0"),
+        (["denoise", "--eps=0.2", "--n=40", "--modes=1:1:0", "--s=1.5"],
          "parameter 's' must be an integer, got '1.5'"),
-        (["denoise", "--n=40", "--modes=1:1:0", "--noise_scale=inf"],
+        (["denoise", "--eps=0.2", "--n=40", "--modes=1:1:0", "--noise_scale=inf"],
          "noise_scale must be finite and >= 0, got inf"),
         (["sweep", "--noise_scale=nan"], "noise_scale must be finite and >= 0, got nan"),
-        (["denoise", "--n=40", "--modes=1:1:0", "--tol=-1"], "tol must be positive and finite"),
+        (["denoise", "--eps=0.2", "--n=40", "--modes=1:1:0", "--tol=-1"],
+         "tol must be positive and finite"),
         (["sweep", "--tol=-1"], "tol must be positive and finite"),
         (["sweep", "--trials=0"], "trials must be >= 1"),
         (["consistency", "--trials=0"], "trials must be >= 1"),
-        (["consistency", "--n_cap=10"], "n(eps=0.2) = 201180 exceeds the cap 10"),
-        (["denoise", "--d=3", "--n=100000", "--modes=1,0,0:1:0"],
+        (["consistency", "--eps_grid=0.05"], "n(eps=0.05) = 383453732 exceeds the cap 100000000"),
+        (["denoise", "--eps=0.2", "--d=3", "--n=100000", "--modes=1,0,0:1:0"],
          "explicit graph of ~1.68e+08 edges exceeds 20000000"),
     ], ids=["denoise-n", "denoise-modes", "denoise-noise", "denoise-density",
             "degrees-density", "degrees-kernel", "spectrum-density",
@@ -726,7 +793,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("dry_run", [True, False])
     def test_dry_run_checks_what_the_run_checks(self, tmp_path, capsys, argv, message, dry_run):
         # each of these dry runs exited 0 although the real run exits 1
-        argv = [*argv, "--eps=0.2", "--out", str(tmp_path / "out")]
+        argv = [*argv, "--out", str(tmp_path / "out")]
         assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not (tmp_path / "out").exists()

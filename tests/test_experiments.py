@@ -374,20 +374,17 @@ class TestConsistencySweep:
             default_n_rule(40, 1, 1)(eps)
 
     def test_memory_cap(self):
+        # the default rule asks for n(0.05) = 383453732 > CONSISTENCY_N_CAP
         u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
         with pytest.raises(MemoryError):
-            consistency_sweep(
-                u, 1, [0.05], default_n_rule(40, 1, 1), 1, 0, n_cap=10_000
-            )
+            consistency_sweep(u, 1, [0.05], default_n_rule(40, 1, 1), 1, 0)
 
     def test_memory_cap_before_any_cloud(self, refuse):
         # the cap is checked on the whole grid before the first trial runs
         refuse("sample_cloud")
         u = FourierFunction.from_modes(1, [((1,), 0.0, 1.0)])
         with pytest.raises(MemoryError, match="n\\(eps=0.05\\)"):
-            consistency_sweep(
-                u, 1, [0.3, 0.05], default_n_rule(40, 1, 1), 1, 0, n_cap=20_000
-            )
+            consistency_sweep(u, 1, [0.3, 0.05], default_n_rule(40, 1, 1), 1, 0)
 
     @pytest.mark.parametrize(
         "s, modes",

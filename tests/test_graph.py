@@ -158,6 +158,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=r"^points must be an \(n, d\) array"):
             build_graph(np.array([0.1, 0.2, 0.5]), 0.2)
 
+    def test_nested_list_matches_array(self):
+        # a list of rows once failed with "'list' object has no attribute 'min'"
+        cloud = sample_cloud(UNIFORM, 200, 2, 0)
+        from_list, from_array = build_graph(cloud.tolist(), 0.2), build_graph(cloud, 0.2)
+        for field in ("indptr", "indices", "weights"):
+            a, b = getattr(from_list, field), getattr(from_array, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("bad", [-0.2, 1.0, 1.7, np.nan, np.inf, -np.inf])
     def test_points_outside_unit_torus(self, bad):
         pts = sample_cloud(UNIFORM, 10, 2, 0).copy()
