@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -122,6 +121,8 @@ KEYS = {
 }
 # the keys of a sampled cloud: with input_csv they would have no effect
 _CLOUD_KEYS = {"n", "modes", *_NOISE, *_DENSITY}
+# the keys of the cosine bump: under the uniform density they would have no effect
+_BUMP_KEYS = {"density_amplitude", "density_mode"}
 
 
 def _convert(conv, text, key):
@@ -162,13 +163,16 @@ def _collect_params(args, extras):
     for key in ("out", "seed", "threads"):
         if getattr(args, key) is not None:
             given[key] = getattr(args, key)
-    keys = KEYS[args.command]
+    keys, unread, why = KEYS[args.command], set(), ""
     if "input_csv" in keys and "input_csv" in given:
-        keys = {k: v for k, v in keys.items() if k not in _CLOUD_KEYS}
+        unread, why = _CLOUD_KEYS, " with input_csv"
+    elif "density" in keys and given.get("density", UNIFORM.kind) == UNIFORM.kind:
+        unread, why = _BUMP_KEYS, " unless density=cosine_bump"
     for key in given:
-        if key not in keys:
-            why = " with input_csv" if key in KEYS[args.command] else ""
-            raise ValidationError(f"{args.command} does not read parameter {key!r}{why}")
+        if key not in keys or key in unread:
+            reason = why if key in keys else ""
+            raise ValidationError(f"{args.command} does not read parameter {key!r}{reason}")
+    keys = {k: v for k, v in keys.items() if k not in unread}
     params = {}
     for key, (conv, default) in keys.items():
         text = given.get(key, default)
@@ -290,6 +294,8 @@ def cmd_sweep(p, dry_run):
     args = (schedule, g, noise, p["trials"], p["seed"], p["tol"])
     workers = min(p["threads"], available_cpus())
     if workers > 1:
+        from multiprocessing import Pool  # here, so that a serial sweep skips its import
+
         with Pool(workers) as pool:
             result = xp.rate_sweep(*args, map_fn=pool.map)
     else:

@@ -5,8 +5,10 @@ polynomials: mode k picks up the multiplier (sigma * 4 pi^2 |k|^2)^s, so
 resolvent solves, norms, and the bias bound are all closed-form.  Non-uniform
 smooth densities get operator application only, via pseudo-spectral
 differentiation on a periodic grid.  The nonlocal (epsilon-averaged)
-Laplacian is a closed-form multiplier under the uniform density, and
-evaluated by tensor quadrature for any density.
+Laplacian is a Fourier multiplier under the uniform density, a
+one-dimensional integral that Gauss-Legendre quadrature takes to 3e-15
+relative (`nonlocal_multiplier`), and is evaluated by tensor quadrature for
+any density.  The module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -15,11 +17,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .geometry import DensitySpec, KernelProfile, check_eps, unit_ball_volume
 from .blocks import run_blocks
 from .solver import check_tau
+
+
+# nonlocal_multiplier's quadrature: Gauss-Legendre nodes per panel, the
+# largest r = |k| eps one panel takes, and panels evaluated per array
+MULTIPLIER_NODES = 64
+MULTIPLIER_PANEL_R = 4.0
+MULTIPLIER_PANEL_CHUNK = 1024
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(MULTIPLIER_NODES)
 
 
 def _canonical_mode(k):
@@ -147,16 +156,34 @@ def mode_multiplier(k, sigma, s):
 
 
 def nonlocal_multiplier(k, eps):
-    """Multiplier of Delta_eps (indicator kernel, uniform density) on mode k:
-    (2/eps^2) (omega_d - r^(-d/2) J_(d/2)(2 pi r)) with r = |k| eps, where the
-    Bessel term is the unit ball's Fourier transform (Stein & Weiss 1971);
-    0.0 exactly for the zero mode."""
+    """Multiplier of Delta_eps (indicator kernel, uniform density) on mode k;
+    0.0 exactly for the zero mode.
+
+    It is (2/eps^2) times the unit ball's mean of 1 - cos(2 pi r h_1), with
+    r = |k| eps, computed in the form that cancels nothing:
+    (4/eps^2) omega_(d-1) times the integral of cos^d(phi) sin^2(pi r sin phi)
+    over [-pi/2, pi/2], with omega_0 = 1.  The integrand is entire, so
+    Gauss-Legendre on 1 + floor(r / MULTIPLIER_PANEL_R) equal panels of
+    MULTIPLIER_NODES each converges fast: against a 50-digit reference the
+    relative error stays below 3e-15 for d <= 5 and r <= 30.  The Bessel
+    form (2/eps^2) (omega_d - r^(-d/2) J_(d/2)(2 pi r)) (Stein & Weiss 1971)
+    of the same multiplier cancels at small r: 1e-10 relative at r = 1e-3,
+    4e-6 at r = 1e-5.
+    """
     check_eps(eps)
     r, d = math.hypot(*k) * eps, len(k)
     if r == 0.0:
         return 0.0
-    ball = r ** (-d / 2.0) * special.jv(d / 2.0, 2.0 * math.pi * r)
-    return float(2.0 / eps**2 * (unit_ball_volume(d) - ball))
+    panels = 1 + int(r / MULTIPLIER_PANEL_R)
+    half = 0.5 * math.pi / panels
+    integral = 0.0
+    for first in range(0, panels, MULTIPLIER_PANEL_CHUNK):
+        index = np.arange(first, min(first + MULTIPLIER_PANEL_CHUNK, panels))
+        phi = ((2.0 * index + 1.0) * half - 0.5 * math.pi)[:, None] + half * _GL_NODES
+        wave = np.sin(math.pi * r * np.sin(phi))
+        integral += half * float(np.sum(_GL_WEIGHTS * np.cos(phi) ** d * wave * wave))
+    omega = unit_ball_volume(d - 1) if d > 1 else 1.0
+    return 4.0 / eps**2 * omega * integral
 
 
 def continuum_laplacian_uniform(g: FourierFunction, sigma: float, s=1) -> FourierFunction:
@@ -201,7 +228,7 @@ def nonlocal_laplacian(
     Gauss nodes make the d=1 indicator case spectrally accurate (the support
     fills the cube); for d >= 2 the ball boundary caps the order, and at
     quad_m = 64 it is about 1.5% high in d = 2 and 0.6% high in d = 3
-    against the closed form nonlocal_multiplier.
+    against nonlocal_multiplier.
     """
     if quad_m < 8:
         raise ValueError("quad_m must be >= 8")

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .blocks import run_blocks
 
@@ -191,8 +190,19 @@ def sample_cloud(spec: DensitySpec, n: int, d: int, seed: int) -> np.ndarray:
 
 
 def unit_ball_volume(d: int) -> float:
-    """omega_d, the unit ball's volume: the unit sphere's area over d."""
-    return float(2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0) / d)
+    """omega_d, the unit ball's volume: the unit sphere's area over d,
+    2 pi^(d/2) / Gamma(d/2) / d.
+
+    Gamma(d/2) is (d/2 - 1)! for even d and sqrt(pi) (d-2)!! / 2^((d-1)/2)
+    for odd d.  For d <= 6 this keeps the bits of scipy.special.gamma, which
+    sigma_eta and so records.csv depend on; at d = 7 it is exact, where
+    scipy's Gamma(3.5) is one ulp off (math.gamma differs at d = 3 and 5).
+    """
+    if d % 2 == 0:
+        gamma = float(math.factorial(d // 2 - 1))
+    else:
+        gamma = math.sqrt(math.pi) * math.prod(range(d - 2, 0, -2)) / 2 ** ((d - 1) // 2)
+    return float(2.0 * math.pi ** (d / 2.0) / gamma / d)
 
 
 def sigma_eta(kernel: KernelProfile, d: int) -> float:

@@ -12,7 +12,9 @@ once as a CSR matrix born sorted: one argsort of the row-major keys
 row * n + col of both directions of every edge orders the column indices
 and the weights, and bincounts of the rows give the row pointers, with no
 COO matrix and no per-row sort.  Neighbor lists sorted by index make
-floating-point sums reproducible.
+floating-point sums reproducible.  `build_graph` imports scipy.sparse itself,
+and nothing else here uses SciPy, so a run that builds no explicit graph
+never loads it.
 
 For d = 1 with the indicator kernel the neighborhood of each point is a
 contiguous window in sorted order, so `IntervalLaplacian` applies the same
@@ -42,12 +44,15 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .blocks import run_blocks
 from .geometry import INDICATOR, KernelProfile, check_eps, torus_distance
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DENSE_THRESHOLD = 500
 # the build's cell grid: at most this many cells per axis (`_cells_per_axis`),
@@ -145,6 +150,8 @@ def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> Kernel
     W is assembled already sorted: one argsort of the row-major keys
     row * n + col of both directions orders the entries as CSR stores them.
     """
+    import scipy.sparse as sp  # here, so that a run without an explicit graph loads no SciPy
+
     check_eps(eps)
     points = np.asarray(points, dtype=float)
     n, d = cloud_shape(points)

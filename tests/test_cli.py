@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -521,6 +522,41 @@ class TestExitCodes:
         config.write_text("[denoise]\neps = 0.2\n[sweep]\nn_grid = 64,128\ntrials = 1\n")
         assert run_cli("sweep", "--config", str(config), "--dry-run") == 0
 
+    @pytest.mark.parametrize("argv, key", [
+        (["degrees", "--density_amplitude=0.9"], "density_amplitude"),
+        (["degrees", "--density=uniform", "--density_mode=2"], "density_mode"),
+        (["denoise", "--eps=0.2", "--n=50", "--modes=1:1:0", "--density_mode=2"],
+         "density_mode"),
+        (["spectrum", "--eps=0.2", "--n=50", "--density_amplitude=0.3"], "density_amplitude"),
+    ], ids=["degrees", "degrees-uniform", "denoise", "spectrum"])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_bump_keys_need_cosine_bump(self, tmp_path, capsys, argv, key, dry_run):
+        # the uniform density reads neither key: these exited 0 and echoed it
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out), *(["--dry-run"] if dry_run else [])) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {argv[0]} does not read parameter {key!r}"
+            " unless density=cosine_bump\n"
+        )
+        assert not out.exists()
+
+    def test_bump_keys_in_config(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[degrees]\nn = 200\neps = 0.2\ndensity_amplitude = 0.9\n")
+        assert run_cli("degrees", "--config", str(config), "--dry-run") == 1
+        assert capsys.readouterr().err == (
+            "validation error: degrees does not read parameter 'density_amplitude'"
+            " unless density=cosine_bump\n"
+        )
+        # the bump reads both keys, given or not; the uniform density lists neither
+        assert run_cli("degrees", "--config", str(config), "--density=cosine_bump",
+                       "--dry-run") == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert (resolved["density_amplitude"], resolved["density_mode"]) == (0.9, [1])
+        config.write_text("[degrees]\nn = 200\neps = 0.2\n")
+        assert run_cli("degrees", "--config", str(config), "--dry-run") == 0
+        assert not {"density_amplitude", "density_mode"} & set(json.loads(capsys.readouterr().out))
+
     def test_solver_failure(self, tmp_path):
         # an unreachable tolerance exhausts the iteration cap
         code = run_cli(
@@ -642,30 +678,47 @@ class TestExitCodes:
         assert proc.returncode == 0
 
     @staticmethod
-    def loaded_by_import(*modules):
-        """Those of modules that importing polylap and polylap.cli loads,
-        in a fresh interpreter."""
+    def fresh_interpreter(script, *args):
+        """Run script in a fresh interpreter and return, as printed, the
+        sorted names of the modules it has loaded that start with scipy."""
         root = pathlib.Path(__file__).resolve().parents[1]
-        script = (
-            "import sys, polylap, polylap.cli\n"
-            f"print([m for m in {modules!r} if m in sys.modules])\n"
-        )
+        script += "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
+            [sys.executable, "-c", script, *args], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(root / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout
+        return proc.stdout.splitlines()[-1]
 
-    def test_import_leaves_out_scipy_integrate(self):
-        # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
-        # about 180 modules and 0.2 s of start-up that nothing here needs
-        assert self.loaded_by_import("scipy.integrate", "scipy.optimize") == "[]\n"
+    def test_import_loads_no_scipy(self):
+        # scipy.special and scipy.sparse each pull in scipy._lib, and with it
+        # numpy.testing and numpy.f2py: about 0.3 s of start-up in all
+        assert self.fresh_interpreter("import sys, polylap, polylap.cli\n") == "[]"
 
-    def test_import_leaves_out_scipy_spatial(self):
-        # the graph build finds pairs on its own cell grid; scipy.spatial,
-        # and scipy.linalg through it, cost about 0.13 s and 10 MB of RSS
-        assert self.loaded_by_import("scipy.spatial", "scipy.linalg") == "[]\n"
+    def test_d1_runs_load_no_scipy(self, tmp_path):
+        # only the explicit graph build (d >= 2, or the plateau kernel) needs
+        # scipy.sparse; the continuum references need no SciPy at all
+        runs = [
+            ["sweep", "--d=1", "--n_grid=256,512", "--trials=1"],
+            ["consistency", "--eps_grid=0.3,0.2", "--trials=1", "--k_mult=0.5"],
+            ["denoise", "--d=1", "--n=300", "--eps=0.1", "--modes=1:1.0:0.0"],
+        ]
+        script = (
+            "import json, sys, polylap.cli as cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv + ['--out', sys.argv[2]]) == 0, argv\n"
+        )
+        assert self.fresh_interpreter(script, json.dumps(runs), str(tmp_path)) == "[]"
+
+    def test_d2_denoise_in_fresh_interpreter(self, tmp_path):
+        # the explicit build imports scipy.sparse itself; in a process that
+        # has not loaded it before, the run writes the in-process bytes
+        argv = TestRecordsBytes.CASES["denoise_d2"][0]
+        script = "import sys, polylap.cli as cli\nassert cli.main(sys.argv[1:]) == 0\n"
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        assert "scipy.sparse" in self.fresh_interpreter(script, *argv, "--out", str(fresh))
+        assert run_cli(*argv, "--out", str(here)) == 0
+        assert (fresh / "records.csv").read_bytes() == (here / "records.csv").read_bytes()
 
     @pytest.mark.parametrize("argv, message", [
         (["bogus"], "argument command: invalid choice: 'bogus'"),
@@ -753,6 +806,8 @@ class TestExitCodes:
         (["denoise", "--eps=0.2", "--n=40", "--modes=1:1:0", "--density=bogus"],
          "unknown density 'bogus'"),
         (["degrees", "--eps=0.2", "--n=200", "--density=bogus"], "unknown density 'bogus'"),
+        (["degrees", "--eps=0.2", "--n=200", "--density=bogus", "--density_mode=2"],
+         "unknown density 'bogus'"),
         (["degrees", "--eps=0.2", "--n=200", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
         (["spectrum", "--eps=0.2", "--n=50", "--density=bogus"], "unknown density 'bogus'"),
         (["spectrum", "--eps=0.2", "--n=50", "--kernel=bogus"], "unknown kernel profile 'bogus'"),
@@ -784,7 +839,7 @@ class TestExitCodes:
         (["denoise", "--eps=0.2", "--d=3", "--n=100000", "--modes=1,0,0:1:0"],
          "explicit graph of ~1.68e+08 edges exceeds 20000000"),
     ], ids=["denoise-n", "denoise-modes", "denoise-noise", "denoise-density",
-            "degrees-density", "degrees-kernel", "spectrum-density",
+            "degrees-density", "degrees-density-mode", "degrees-kernel", "spectrum-density",
             "spectrum-kernel", "denoise-n-zero", "spectrum-n-zero", "denoise-density-mode",
             "degrees-trials", "degrees-regime", "denoise-tau-negative", "denoise-tau-inf",
             "denoise-tau-nan", "denoise-s-fraction", "denoise-noise-inf", "sweep-noise-nan",
@@ -818,7 +873,7 @@ def fake_pool(monkeypatch, cpus):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)

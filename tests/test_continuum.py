@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from polylap import blocks
 from polylap.continuum import (
@@ -20,7 +21,14 @@ from polylap.continuum import (
     pseudo_spectral_continuum_laplacian,
     sample_on_grid,
 )
-from polylap.geometry import INDICATOR, UNIFORM, DensitySpec, sample_cloud, sigma_eta
+from polylap.geometry import (
+    INDICATOR,
+    UNIFORM,
+    DensitySpec,
+    sample_cloud,
+    sigma_eta,
+    unit_ball_volume,
+)
 from polylap.blocks import BLOCK
 
 SIGMA1 = 2.0 / 3.0  # sigma_eta(INDICATOR, 1)
@@ -269,6 +277,21 @@ def ball_transform_polar(t, d):
     return float(np.sum(wr * r * r * inner))
 
 
+def multiplier_series(k, eps):
+    """nonlocal_multiplier as its power series in x = 2 pi^2 r^2, r = |k| eps:
+    (2/eps^2) omega_d times the sum over j >= 1 of
+    (-1)^(j+1) x^j / (j! (d+2) (d+4) ... (d+2j)), term j being the unit
+    ball's mean of the x^j term of 1 - cos(2 pi r h_1).  For x < 1e-3 each
+    term is below 1e-3 of the last, so ten terms sum to full precision."""
+    d = len(k)
+    x = 2.0 * math.pi**2 * sum(c * c for c in k) * eps**2
+    term, total = -1.0, 0.0
+    for j in range(1, 11):
+        term *= -x / (j * (d + 2 * j))
+        total += term
+    return 2.0 / eps**2 * unit_ball_volume(d) * total
+
+
 class TestNonlocalMultiplier:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
@@ -296,6 +319,26 @@ class TestNonlocalMultiplier:
             for eps in (0.5, 0.2, 0.1, 0.05, 0.01):
                 m = nonlocal_multiplier(k, eps)
                 assert 0.0 < m < mode_multiplier(k, sigma, 1), (k, eps)
+
+    @pytest.mark.parametrize("k", [(1,), (2,), (1, 0), (2, 1), (1, 0, 0), (1, 1, 1)])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
+    def test_small_r_matches_series(self, k, eps):
+        # the Bessel form omega_d - r^(-d/2) J_(d/2)(2 pi r) cancelled to
+        # 1e-11..1e-10 relative at eps = 1e-3 and to 4e-6 at eps = 1e-5
+        assert nonlocal_multiplier(k, eps) == pytest.approx(
+            multiplier_series(k, eps), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k1, eps", [
+        (1, 0.05), (1, 0.3), (3, 0.35), (8, 0.45), (25, 0.38), (150, 0.4),
+    ], ids=["r0.05", "r0.3", "r1.05", "r3.6", "r9.5", "r60"])
+    def test_matches_bessel_form(self, d, k1, eps):
+        # r from 0.05 to 60: one quadrature panel up to r = 4, sixteen at 60
+        r = k1 * eps
+        ball = r ** (-d / 2.0) * special.jv(d / 2.0, 2.0 * math.pi * r)
+        want = 2.0 / eps**2 * (unit_ball_volume(d) - ball)
+        k = (k1,) + (0,) * (d - 1)
+        assert nonlocal_multiplier(k, eps) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_zero_mode_exactly_zero(self):
         for d in (1, 2, 3):

@@ -1,6 +1,7 @@
 """Torus metric, kernels, densities, sampling, and the kernel moment."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,20 @@ from polylap.geometry import (
     torus_distance,
     unit_ball_volume,
 )
+
+
+PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def ball_volume_50(d):
+    """omega_d to 50 digits: pi^(d // 2) q_d with the rational q_0 = 1,
+    q_1 = 2 and q_d = (2 / d) q_(d-2), from omega_d = (2 pi / d) omega_(d-2)."""
+    q = Fraction(1 + d % 2)
+    for j in range(d, 1, -2):
+        q *= Fraction(2, j)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return PI_50 ** (d // 2) * q.numerator / q.denominator
 
 
 class TestTorusDistance:
@@ -144,9 +159,8 @@ class TestSigmaEta:
             PLATEAU: half ** (d + 2) / (d + 2)
             + 2 * ((1 - half ** (d + 2)) / (d + 2) - (1 - half ** (d + 3)) / (d + 3)),
         }
-        angular = 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0) / d
         for kernel, radial in exact.items():
-            want = angular * float(radial)
+            want = float(ball_volume_50(d) * radial.numerator / radial.denominator)
             assert abs(sigma_eta(kernel, d) - want) <= 4 * math.ulp(want), kernel.kind
 
 
@@ -156,6 +170,20 @@ class TestUnitBallVolume:
         assert unit_ball_volume(1) == 2.0 and type(unit_ball_volume(1)) is float
         assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_bits_of_the_scipy_gamma_form(self, d):
+        # sigma_eta, and so records.csv, takes these bits
+        want = 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0) / d
+        assert unit_ball_volume(d) == want
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_within_one_ulp(self, d):
+        # correctly rounded at d = 7, where scipy's Gamma(3.5) is one ulp off
+        want = float(ball_volume_50(d))
+        assert abs(unit_ball_volume(d) - want) <= math.ulp(want)
+        if d == 7:
+            assert unit_ball_volume(d) == want
 
 
 class TestDensity:
