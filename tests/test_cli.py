@@ -695,6 +695,18 @@ class TestExitCodes:
         # numpy.testing and numpy.f2py: about 0.3 s of start-up in all
         assert self.fresh_interpreter("import sys, polylap, polylap.cli\n") == "[]"
 
+    def test_import_leaves_out_scipy_integrate(self):
+        # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
+        # about 180 modules and 0.2 s of start-up that nothing here needs
+        loaded = self.fresh_interpreter("import sys, polylap, polylap.cli\n")
+        assert "scipy.integrate" not in loaded and "scipy.optimize" not in loaded, loaded
+
+    def test_import_leaves_out_scipy_spatial(self):
+        # the graph build finds pairs on its own cell grid; scipy.spatial,
+        # and scipy.linalg through it, cost about 0.13 s and 10 MB of RSS
+        loaded = self.fresh_interpreter("import sys, polylap, polylap.cli\n")
+        assert "scipy.spatial" not in loaded and "scipy.linalg" not in loaded, loaded
+
     def test_d1_runs_load_no_scipy(self, tmp_path):
         # only the explicit graph build (d >= 2, or the plateau kernel) needs
         # scipy.sparse; the continuum references need no SciPy at all
