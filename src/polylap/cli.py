@@ -268,12 +268,13 @@ def cmd_denoise(p, dry_run):
         # column-wise to Python floats once; repr is the shortest round-trip form
         columns = [*points.T.tolist(), y.tolist(), u.tolist()]
         f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+    err = l2_mu_n(u - y)
     return {
-        "energy": l2_mu_n(u - y) ** 2 + tau * reg,
+        "energy": err**2 + tau * reg,
         "regularizer": reg,
         "solver_iterations": report.iterations,
         "solver_residual": report.final_relative_residual,
-        "total_err_vs_labels": l2_mu_n(u - y),
+        "total_err_vs_labels": err,
     }
 
 

@@ -181,8 +181,8 @@ class ExperimentRecord:
 RECORD_FIELDS = [f.name for f in fields(ExperimentRecord)]
 
 
-# an explicit build peaks at about 52 (d = 2) to 62 (d = 3) bytes of RSS
-# per undirected edge, so the cap is about 1.2 GB
+# an explicit build peaks at about 27 (d = 2) to 35 (d = 3) bytes of RSS
+# per undirected edge, so the cap is about 0.7 GB
 MAX_EXPLICIT_EDGES = 20_000_000
 
 

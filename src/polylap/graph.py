@@ -8,13 +8,15 @@ one or two ranges of sorted positions per forward row of cells
 (`_grid_pairs`).  Chunks of at most PAIR_CHUNK candidates are gathered one
 coordinate row at a time into work buffers made once and measured by
 `geometry.torus_distance`, the one copy of the wrap metric.  W is assembled
-once as a CSR matrix born sorted: one argsort of the row-major keys
-row * n + col of both directions of every edge orders the column indices
-and the weights, and bincounts of the rows give the row pointers, with no
-COO matrix and no per-row sort.  Neighbor lists sorted by index make
-floating-point sums reproducible.  `build_graph` imports scipy.sparse itself,
-and nothing else here uses SciPy, so a run that builds no explicit graph
-never loads it.
+once as a CSR matrix born sorted: the row-major keys row * n + col of both
+directions of every edge, sorted in place, are its entries in stored order
+and their residues mod n its column indices, and bincounts of the rows give
+the row pointers, with no permutation, no COO matrix and no per-row sort.
+The weights follow the sorted entries: the indicator's one constant eps^-d,
+or the plateau profile at each stored pair's distance measured again.
+Neighbor lists sorted by index make floating-point sums reproducible.
+`build_graph` imports scipy.sparse itself, and nothing else here uses
+SciPy, so a run that builds no explicit graph never loads it.
 
 For d = 1 with the indicator kernel the neighborhood of each point is a
 contiguous window in sorted order, so `IntervalLaplacian` applies the same
@@ -145,10 +147,15 @@ def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> Kernel
     with torus distance < eps.
 
     A uniform cell grid proposes the candidate pairs (`_grid_pairs`); the
-    torus distance and the kernel weight alone decide which of them are
-    edges, so the edge set does not depend on how the grid rounds.
-    W is assembled already sorted: one argsort of the row-major keys
-    row * n + col of both directions orders the entries as CSR stores them.
+    torus distance alone decides which of them are edges, so the edge set
+    does not depend on how the grid rounds.  Both profiles are positive
+    below t = 1, and for doubles a < b the quotient a / b rounds below 1, so
+    every edge has a positive weight.  W is assembled already sorted: the
+    row-major keys row * n + col of both directions, sorted in place, are
+    the entries in the order CSR stores them, and their residues mod n the
+    column indices.  The weights follow the sorted entries: the constant
+    eps^-d for the indicator, the profile at each stored pair's torus
+    distance for the plateau (`_profile_weights`).
     """
     import scipy.sparse as sp  # here, so that a run without an explicit graph loads no SciPy
 
@@ -161,23 +168,65 @@ def build_graph(points, eps: float, kernel: KernelProfile = INDICATOR) -> Kernel
         raise ValueError("points must be finite and lie in [0,1)^d")
     # int32 point and column indices, as scipy picks them; it narrows indptr itself
     index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    i, j, w = _grid_edges(points, eps, kernel, index_dtype)
+    i, j = _grid_edges(points, eps, index_dtype)
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), out=indptr[1:])
     keys = np.empty(2 * i.size, np.int64)  # keys are distinct
     np.multiply(i, n, out=keys[: i.size], dtype=np.int64)
     keys[: i.size] += j
     np.multiply(j, n, out=keys[i.size :], dtype=np.int64)
     keys[i.size :] += i
-    order = keys.argsort()
-    del keys
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), out=indptr[1:])
-    indices = np.concatenate([j, i])[order]
     del i, j
-    # entries k and k + len(w) both hold w[k]
-    csr = sp.csr_matrix((w.take(order, mode="wrap"), indices, indptr), shape=(n, n))
+    keys.sort()
+    indices = np.remainder(keys, n, out=keys).astype(index_dtype)
+    del keys
+    if kernel.kind == "indicator":
+        data = np.full(indices.size, eps ** (-d))
+    else:
+        data = _profile_weights(points, eps, kernel, indptr, indices)
+    csr = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     csr.has_canonical_format = True  # sorted rows, no duplicate entries
     # row sums accumulated in stored order, so apply(u) is reproducible
     return KernelGraph(n, float(eps), csr, csr @ np.ones(n))
+
+
+def _profile_weights(points, eps, kernel, indptr, indices):
+    """eps^-d eta(dist / eps) for every stored entry of the CSR pattern
+    (indptr, indices), its pair's torus distance measured again, PAIR_CHUNK
+    entries at a time straight into the result.  The metric is bitwise
+    symmetric, so each weight has the bits the candidate pair's distance
+    would give."""
+    d = points.shape[1]
+    cols, buffers, scale = np.array(points.T), _pair_buffers(d), eps ** (-d)
+    data = np.empty(indices.size)
+    for a in range(0, indices.size, PAIR_CHUNK):
+        b = min(a + PAIR_CHUNK, indices.size)
+        # rows first..last-1 hold the entries a..b-1
+        first = int(np.searchsorted(indptr, a, "right")) - 1
+        last = int(np.searchsorted(indptr, b))
+        rows = np.repeat(np.arange(first, last), np.diff(indptr[first : last + 1].clip(a, b)))
+        t = _pair_distances(cols, rows, indices[a:b], data[a:b], buffers)
+        t /= eps
+        np.multiply(kernel.eval(t), scale, out=t)
+    return data
+
+
+def _pair_buffers(d):
+    """The work buffers of `_pair_distances` for pairs in d dimensions."""
+    return np.empty((d, PAIR_CHUNK)), np.empty((d, PAIR_CHUNK)), np.empty((2, PAIR_CHUNK))
+
+
+def _pair_distances(cols, p, q, out, buffers):
+    """The torus distances of at most PAIR_CHUNK pairs (p, q) of columns of
+    the float64 (d, n) coordinates cols, written into out: each coordinate
+    row gathered into the work buffers of `_pair_buffers`, which indexing
+    does faster than take or a gather of whole points."""
+    x, y, work = buffers
+    size = p.size
+    for xk, yk, ck in zip(x, y, cols):
+        xk[:size] = ck[p]
+        yk[:size] = ck[q]
+    return torus_distance(x[:, :size].T, y[:, :size].T, out, work[:, :size])
 
 
 def _cells_per_axis(n, d, eps):
@@ -198,14 +247,14 @@ def _cells_per_axis(n, d, eps):
     return m if m >= 5 else 1
 
 
-def _grid_edges(points, eps, kernel, index_dtype):
-    """Edges i, j (index_dtype) and weights of the epsilon-graph, in the
-    order the grid proposes them.  Each chunk of at most PAIR_CHUNK
-    candidate pairs is gathered into work buffers made once, measured and
-    filtered.  The kept edges are joined every 64 chunks and at the end:
-    the small per-chunk arrays come from the allocator's heap, and joined
-    early they are reused instead of staying resident through the assembly
-    (about 13 bytes of RSS less per edge on clouds of millions of edges)."""
+def _grid_edges(points, eps, index_dtype):
+    """Edges i, j (index_dtype) of the epsilon-graph, the pairs at torus
+    distance < eps, in the order the grid proposes them.  Each chunk of at
+    most PAIR_CHUNK candidate pairs is measured (`_pair_distances`) and
+    filtered.  The kept edges are joined every 64 chunks and at the end: the
+    small per-chunk arrays come from the allocator's heap, and joined early
+    they are reused instead of staying resident through the assembly (about
+    13 bytes of RSS less per edge on clouds of millions of edges)."""
     n, d = points.shape
     cols = np.array(points.T, dtype=float)  # float64 (d, n), also for float32 clouds
     m = _cells_per_axis(n, d, eps)
@@ -213,24 +262,20 @@ def _grid_edges(points, eps, kernel, index_dtype):
     for xk in cols:
         cell *= m
         cell += (xk * m).astype(np.int64)  # below m: x < 1 rounds x * m below m
-    perm = cell.argsort()
-    cell, cols = cell[perm], cols[:, perm]
+    # points ordered by cell through keys cell * n + point (at most n cells)
+    # sorted in place: the assembly's sort, so a build loads no argsort code
+    # (0.25 MB of RSS per process)
+    cell *= n
+    cell += np.arange(n)
+    cell.sort()
+    cell, perm = np.divmod(cell, n)
+    cols = cols[:, perm]
     perm = perm.astype(index_dtype)
-    x, y = np.empty((d, PAIR_CHUNK)), np.empty((d, PAIR_CHUNK))
-    dist, work = np.empty(PAIR_CHUNK), np.empty((2, PAIR_CHUNK))
-    scale = eps ** (-d)
-    joined, found = [], [(np.empty(0, index_dtype), np.empty(0, index_dtype), np.empty(0))]
+    buffers, dist = _pair_buffers(d), np.empty(PAIR_CHUNK)
+    joined, found = [], [(np.empty(0, index_dtype), np.empty(0, index_dtype))]
     for p, q in _grid_pairs(cell, m, d):
-        size = p.size
-        for k in range(d):  # indexing gathers faster than take here
-            x[k, :size] = cols[k][p]
-            y[k, :size] = cols[k][q]
-        torus_distance(x[:, :size].T, y[:, :size].T, dist[:size], work[:, :size])
-        near = np.flatnonzero(dist[:size] < eps)
-        w = kernel.eval(dist[near] / eps) * scale
-        keep = w > 0.0
-        near = near[keep]
-        found.append((perm[p[near]], perm[q[near]], w[keep]))
+        near = np.flatnonzero(_pair_distances(cols, p, q, dist[: p.size], buffers) < eps)
+        found.append((perm[p[near]], perm[q[near]]))
         if len(found) == 64:
             joined.append(_join(found))
             found = []
@@ -238,7 +283,7 @@ def _grid_edges(points, eps, kernel, index_dtype):
 
 
 def _join(parts):
-    """Each of the arrays of the (i, j, w) triples parts, concatenated."""
+    """Each of the arrays of the (i, j) pairs parts, concatenated."""
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 

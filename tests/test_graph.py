@@ -17,6 +17,7 @@ from polylap.geometry import (
     INDICATOR,
     PLATEAU,
     UNIFORM,
+    KernelProfile,
     make_rng,
     sample_cloud,
     torus_distance,
@@ -318,8 +319,10 @@ class TestSortedAssembly:
         ([[0.0], [0.5]], 0.5),  # n = 2 at exactly eps
         ([[0.0, 0.0], [0.99, 0.01]], 0.5),  # n = 2 across the wrap
         ([[0.0, 0.0], [0.5, 0.5], [0.0, 0.5], [0.5, 0.0]], 0.25),  # no edges
+        # torus distance one ulp below eps: the plateau's smallest weight
+        ([[0.0], [np.nextafter(0.25, 0.0)]], 0.25),
     ], ids=["duplicates", "duplicates-half", "n1-d1", "n1-d3", "n2-at-eps", "n2-wrap",
-            "edgeless"])
+            "edgeless", "n2-below-eps"])
     def test_small_clouds(self, points, eps):
         assert_csr_matches_coo_assembly(points, eps, PLATEAU)
         g = assert_csr_matches_coo_assembly(points, eps)
@@ -334,13 +337,20 @@ class TestSortedAssembly:
             g = assert_csr_matches_coo_assembly(points, eps, kernel)
             assert g.edge_count > 0 or eps == 0.02
 
-    # traced peak bytes per undirected edge of one build: the cell grid
-    # measured 63 (d = 2) and 50 (d = 3), the cKDTree candidates with the
+    # traced peak bytes per undirected edge of one build: keys sorted in
+    # place measured 54.8 (d = 2) and 34.3 (d = 3) with the indicator, 54.8
+    # and 38.7 with the plateau's chunked weights (unchunked 137 and 168);
+    # an argsort of the keys 63 and 49, the cKDTree candidates with the
     # sorted assembly 65 and 81, and with the COO assembly 105 and 120
-    @pytest.mark.parametrize("n, d, eps, budget", [(3400, 2, 0.05, 70), (5200, 3, 0.125, 55)])
-    def test_memory_budget(self, traced_peak, n, d, eps, budget):
+    @pytest.mark.parametrize("n, d, eps, kind, budget", [
+        (3400, 2, 0.05, "indicator", 60),
+        (3400, 2, 0.05, "plateau", 60),
+        (5200, 3, 0.125, "indicator", 38),
+        (5200, 3, 0.125, "plateau", 43),
+    ])
+    def test_memory_budget(self, traced_peak, n, d, eps, kind, budget):
         points = sample_cloud(UNIFORM, n, d, 0)
-        g, peak = traced_peak(build_graph, points, eps)
+        g, peak = traced_peak(build_graph, points, eps, KernelProfile(kind))
         assert peak <= budget * g.edge_count, f"{peak / g.edge_count:.1f} B/edge"
 
 
