@@ -123,6 +123,9 @@ KEYS = {
 _CLOUD_KEYS = {"n", "modes", *_NOISE, *_DENSITY}
 # the keys of the cosine bump: under the uniform density they would have no effect
 _BUMP_KEYS = {"density_amplitude", "density_mode"}
+# the least value of an integer key; threads defaults to 1 (serial): with the
+# default BLAS threads each pool worker starts its own and is slower than serial
+_LEAST = {"seed": 0, "threads": 1}
 
 
 def _convert(conv, text, key):
@@ -178,6 +181,9 @@ def _collect_params(args, extras):
         text = given.get(key, default)
         if text is not None:
             params[key] = _convert(conv, text, key)
+        if key in _LEAST and params[key] < _LEAST[key]:
+            least, got = _LEAST[key], params[key]
+            raise ValidationError(f"parameter {key!r} must be >= {least}, got '{got}'")
     return params
 
 
@@ -263,11 +269,8 @@ def cmd_denoise(p, dry_run):
         u = np.empty_like(u)
         u[order] = report.solution
 
-    with open(os.path.join(_outdir(p), "records.csv"), "w", encoding="utf-8") as f:
-        f.write(",".join([f"x{i + 1}" for i in range(d)] + ["y", "u"]) + "\n")
-        # column-wise to Python floats once; repr is the shortest round-trip form
-        columns = [*points.T.tolist(), y.tolist(), u.tolist()]
-        f.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+    header = [f"x{i + 1}" for i in range(d)] + ["y", "u"]
+    xp.write_csv(os.path.join(_outdir(p), "records.csv"), header, [*points.T, y, u])
     err = l2_mu_n(u - y)
     return {
         "energy": err**2 + tau * reg,
@@ -282,10 +285,6 @@ def cmd_sweep(p, dry_run):
     schedule = xp.Schedule(p["d"], p["s"], tuple(p["n_grid"]), p["eps_mult"], p["tau_mult"])
     g = parse_modes(p["modes"], p["d"])
     noise = xp.NoiseSpec(p["noise"], p["noise_scale"])
-    # worker processes, serial by default: with the default BLAS threads
-    # each worker starts its own and a pool is slower than serial
-    if p["threads"] < 1:
-        raise ValidationError(f"parameter 'threads' must be >= 1, got '{p['threads']}'")
     xp.check_sweep_inputs(p["trials"], p["tol"])
     p["eps"] = [schedule.eps_of(n) for n in p["n_grid"]]
     p["tau"] = [schedule.tau_of(n) for n in p["n_grid"]]

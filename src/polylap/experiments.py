@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .blocks import BLOCK
 from .continuum import (
     FourierFunction,
     continuum_laplacian_uniform,
@@ -558,18 +559,18 @@ def ansatz_norm_sweep(
     return out
 
 
-def write_records_csv(records, path):
-    """Deterministic CSV: fixed header, shortest round-trip float formatting."""
+def write_csv(path, header, columns):
+    """Deterministic CSV: header, then a row per index of the equal-length array
+    columns, BLOCK rows at a time, each value the repr of its Python scalar."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(RECORD_FIELDS) + "\n")
-        for r in records:
-            row = []
-            for name in RECORD_FIELDS:
-                v = getattr(r, name)
-                if isinstance(v, bool):
-                    row.append("1" if v else "0")
-                elif isinstance(v, float):
-                    row.append(repr(float(v)))
-                else:
-                    row.append(str(v))
-            f.write(",".join(row) + "\n")
+        f.write(",".join(header) + "\n")
+        for a in range(0, len(columns[0]), BLOCK):
+            rows = zip(*(c[a:a + BLOCK].tolist() for c in columns))
+            f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def write_records_csv(records, path):
+    """write_csv of ExperimentRecords, one column per field and failed as 0/1."""
+    columns = {name: np.array([getattr(r, name) for r in records]) for name in RECORD_FIELDS}
+    columns["failed"] = columns["failed"].astype(np.int8)
+    write_csv(path, RECORD_FIELDS, list(columns.values()))

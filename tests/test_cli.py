@@ -13,6 +13,7 @@ import pytest
 
 from polylap import cli
 from polylap import experiments as xp
+from polylap.blocks import BLOCK
 from polylap.experiments import NoiseSpec, derive_seed, gen_labels, make_operator
 from polylap.geometry import INDICATOR, UNIFORM, sample_cloud
 from polylap.graph import build_graph
@@ -77,7 +78,34 @@ class TestDryRun:
         )
 
 
+D1_DENOISE = ["denoise", "--d=1", "--s=1", "--eps=0.001", "--tau=1e-6", "--modes=1:1.0:0.0"]
+
+
 class TestDenoise:
+    def test_blocked_records_match_one_pass(self, tmp_path, monkeypatch):
+        # a row on each side of every block boundary: records.csv holds the
+        # bytes of one unblocked pass over the columns the run wrote
+        n, seen = 2 * BLOCK + 7, []
+        write_csv = xp.write_csv
+        monkeypatch.setattr(xp, "write_csv", lambda *a: (seen.append(a), write_csv(*a)))
+        assert run_cli(*D1_DENOISE, f"--n={n}", "--out", str(tmp_path)) == 0
+        [(_, header, columns)] = seen
+        assert header == ["x1", "y", "u"] and [len(c) for c in columns] == [n] * 3
+        rows = zip(*(c.tolist() for c in columns))
+        want = "x1,y,u\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        assert (tmp_path / "records.csv").read_bytes() == want.encode()
+
+    def test_d1_memory_budget(self, tmp_path, traced_peak):
+        # the run peaks in the solve at about 110 B/pt: the cloud, the labels
+        # in input and operator order and the order (32), the operator (20),
+        # CG's buffers (48) and an apply's prefix sums (8).  The writer holds
+        # one block of rows as Python objects (114 B/pt in all here), never
+        # whole columns of them (about 180 B/pt)
+        n = 4 * BLOCK
+        code, peak = traced_peak(run_cli, *D1_DENOISE, f"--n={n}", "--out", str(tmp_path))
+        assert code == 0
+        assert peak <= 126 * n, f"{peak / n:.2f} B/pt"
+
     def test_tau_zero_returns_labels(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
@@ -478,6 +506,31 @@ class TestExitCodes:
     def test_non_numeric_value_named(self, tmp_path, capsys, argv, message):
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n_grid=64,128", "--trials=1"],
+        ["denoise", "--eps=0.2", "--n=50", "--modes=1:1:0"],
+        ["consistency", "--eps_grid=0.3,0.2", "--k_mult=0.5", "--trials=1"],
+        ["degrees", "--n=200", "--eps=0.2", "--trials=1"],
+        ["spectrum", "--eps=0.2", "--n=50"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_named(self, tmp_path, capsys, argv, from_config, dry_run):
+        # the dry run exited 0 and the run exited 1 with "expected
+        # non-negative integer", which named no key
+        out = tmp_path / "out"
+        argv = [*argv, "--out", str(out), *(["--dry-run"] if dry_run else [])]
+        if from_config:
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[{argv[0]}]\nseed = -1\n")
+            argv += ["--config", str(ini)]
+        else:
+            argv.append("--seed=-1")
+        assert run_cli(*argv) == 1
+        message = "parameter 'seed' must be >= 0, got '-1'"
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
 
     def test_non_numeric_config_key_named(self, tmp_path, capsys):
         config = tmp_path / "run.ini"

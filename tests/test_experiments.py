@@ -575,6 +575,40 @@ class TestRecordsCSV:
         write_records_csv([], path)
         assert path.read_text().strip() == ",".join(RECORD_FIELDS)
 
+    def test_bytes_of_the_per_type_form(self, tmp_path):
+        # the bytes of the per-value writer the shared one replaced: a bool
+        # as 0/1, a float (np.float64 too) as repr(float(v)), else str(v)
+        def per_type(records):
+            lines = [",".join(RECORD_FIELDS)]
+            for r in records:
+                row = []
+                for name in RECORD_FIELDS:
+                    v = getattr(r, name)
+                    if isinstance(v, bool):
+                        row.append("1" if v else "0")
+                    elif isinstance(v, float):
+                        row.append(repr(float(v)))
+                    else:
+                        row.append(str(v))
+                lines.append(",".join(row))
+            return "".join(line + "\n" for line in lines).encode()
+
+        values = [-0.0, float("nan"), math.inf, -math.inf, 5e-324, 1e16, 0.1 + 0.2,
+                  np.float64(0.1)]
+        records = [
+            ExperimentRecord(
+                n=100 + t, d=1, s=2, eps=v, tau=values[-1 - t], seed=2**64 + 1 if t else t,
+                trial=t, variance_err=v, bias_err=np.float64(v), bias_sample_err=-v,
+                total_err=v * 3, consistency_err=values[t - 1], solver_iterations=t,
+                solver_residual=np.float64(values[-1 - t]), failed=t % 3 == 1,
+            )
+            for t, v in enumerate(values)
+        ]
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        assert path.read_bytes() == per_type(records)
+        assert b"np." not in path.read_bytes()
+
 
 def boundary_operator():
     return build_graph(sample_cloud(UNIFORM, 40, 1, 3), 0.2)
