@@ -36,14 +36,10 @@ from .solver import (
 )
 from .continuum import (
     FourierFunction,
-    GridField,
     bias_bound,
     continuum_laplacian_uniform,
     continuum_solve_uniform,
     exact_bias,
-    nonlocal_laplacian,
-    pseudo_spectral_continuum_laplacian,
-    sample_on_grid,
 )
 from .experiments import (
     ExperimentRecord,

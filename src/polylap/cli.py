@@ -26,7 +26,9 @@ import numpy as np
 from . import experiments as xp
 from .blocks import available_cpus
 from .continuum import FourierFunction
-from .geometry import UNIFORM, DensitySpec, KernelProfile, check_cloud, check_eps, sample_cloud
+from .geometry import (
+    UNIFORM, DensitySpec, KernelProfile, check_cloud, check_eps, check_tau, sample_cloud,
+)
 from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps it here
 from .graph import DENSE_THRESHOLD, check_power, dense_spectrum, dirichlet_energy, l2_mu_n
 from .solver import (
@@ -34,7 +36,6 @@ from .solver import (
     ResolventProblem,
     SolverError,
     check_residual,
-    check_tau,
     check_tol,
     solve_resolvent,
 )
@@ -125,7 +126,7 @@ _CLOUD_KEYS = {"n", "modes", *_NOISE, *_DENSITY}
 _BUMP_KEYS = {"density_amplitude", "density_mode"}
 # the least value of an integer key; threads defaults to 1 (serial): with the
 # default BLAS threads each pool worker starts its own and is slower than serial
-_LEAST = {"seed": 0, "threads": 1}
+_LEAST = {"d": 1, "seed": 0, "threads": 1}
 
 
 def _convert(conv, text, key):

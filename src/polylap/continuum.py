@@ -2,13 +2,11 @@
 
 For uniform density the weighted operator acts modewise on trigonometric
 polynomials: mode k picks up the multiplier (sigma * 4 pi^2 |k|^2)^s, so
-resolvent solves, norms, and the bias bound are all closed-form.  Non-uniform
-smooth densities get operator application only, via pseudo-spectral
-differentiation on a periodic grid.  The nonlocal (epsilon-averaged)
-Laplacian is a Fourier multiplier under the uniform density, a
-one-dimensional integral that Gauss-Legendre quadrature takes to 3e-15
-relative (`nonlocal_multiplier`), and is evaluated by tensor quadrature for
-any density.  The module needs NumPy only.
+resolvent solves, norms, and the bias bound are all closed-form.  The
+nonlocal (epsilon-averaged) Laplacian is a Fourier multiplier under the
+uniform density, a one-dimensional integral that Gauss-Legendre quadrature
+takes to 3e-15 relative (`nonlocal_multiplier`).  The module needs NumPy
+only.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DensitySpec, KernelProfile, check_eps, unit_ball_volume
 from .blocks import run_blocks
-from .solver import check_tau
+from .geometry import check_eps, check_tau, unit_ball_volume
 
 
 # nonlocal_multiplier's quadrature: Gauss-Legendre nodes per panel, the
@@ -211,106 +208,3 @@ def exact_bias(g: FourierFunction, tau: float, s, sigma: float) -> float:
         / (1.0 + tau * mode_multiplier(k, sigma, s))
     )
     return diff.l2_norm_uniform()
-
-
-def nonlocal_laplacian(
-    g,
-    rho: DensitySpec,
-    eps: float,
-    kernel: KernelProfile,
-    x,
-    quad_m: int = 64,
-) -> float:
-    """(2/eps^2) * integral of eta_eps(|x-y|) (g(x) - g(y)) rho(y) dy.
-
-    Tensor-product Gauss-Legendre quadrature on the bounding cube
-    [x - eps, x + eps]^d; the integrand vanishes outside the kernel support.
-    Gauss nodes make the d=1 indicator case spectrally accurate (the support
-    fills the cube); for d >= 2 the ball boundary caps the order, and at
-    quad_m = 64 it is about 1.5% high in d = 2 and 0.6% high in d = 3
-    against nonlocal_multiplier.
-    """
-    if quad_m < 8:
-        raise ValueError("quad_m must be >= 8")
-    check_eps(eps)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = x.size
-    nodes, wts = np.polynomial.legendre.leggauss(quad_m)
-    nodes = nodes * eps  # offsets in [-eps, eps]
-    wts = wts * eps
-    grids = np.meshgrid(*([nodes] * d), indexing="ij")
-    offsets = np.stack([gr.reshape(-1) for gr in grids], axis=-1)
-    wgrids = np.meshgrid(*([wts] * d), indexing="ij")
-    weight = np.prod(np.stack([wg.reshape(-1) for wg in wgrids], axis=-1), axis=-1)
-
-    y = (x[None, :] + offsets) % 1.0
-    r = np.sqrt(np.sum(offsets * offsets, axis=-1))
-    eta = kernel.eval(r / eps) * eps ** (-d)
-    gx = float(np.asarray(g(x[None, :])).reshape(-1)[0])
-    gy = np.asarray(g(y)).reshape(-1)
-    integrand = eta * (gx - gy) * rho.eval(y)
-    return float(2.0 / eps**2 * np.sum(weight * integrand))
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Values on a regular periodic m^d grid with spacing 1/m."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        m = v.shape[0]
-        if m < 4 or m % 2 != 0:
-            raise ValueError("grid size must be even and >= 4")
-        if any(s != m for s in v.shape):
-            raise ValueError("grid must be square (m per axis)")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def m(self):
-        return self.values.shape[0]
-
-    @property
-    def d(self):
-        return self.values.ndim
-
-
-def grid_points(m, d):
-    axes = [np.arange(m) / m] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack(grids, axis=-1)
-
-
-def sample_on_grid(fn, m, d) -> GridField:
-    pts = grid_points(m, d)
-    return GridField(np.asarray(fn(pts.reshape(-1, d))).reshape((m,) * d))
-
-
-def pseudo_spectral_continuum_laplacian(
-    phi: GridField, rho: GridField, sigma: float
-) -> GridField:
-    """-(sigma/rho) div(rho^2 grad phi) via FFT differentiation.
-
-    Exact for band-limited phi, rho whose product stays below the Nyquist
-    frequency (bandwidth < m/4 is always safe).
-    """
-    if phi.values.shape != rho.values.shape:
-        raise ValueError("phi and rho must share a grid")
-    if np.any(rho.values <= 0.0):
-        raise ValueError("density must be strictly positive on the grid")
-    v = phi.values
-    m, d = phi.m, phi.d
-    freqs = 2.0j * np.pi * np.fft.fftfreq(m, d=1.0 / m)
-
-    def partial(f, axis):
-        shape = [1] * d
-        shape[axis] = m
-        return np.real(np.fft.ifftn(np.fft.fftn(f) * freqs.reshape(shape)))
-
-    rho2 = rho.values**2
-    div = np.zeros_like(v)
-    for ax in range(d):
-        div += partial(rho2 * partial(v, ax), ax)
-    return GridField(-sigma / rho.values * div)
-

@@ -23,6 +23,12 @@ def check_eps(eps):
         raise ValueError(f"eps={eps} must lie in (0, 1/2]")
 
 
+def check_tau(tau):
+    """Reject a resolvent weight that is negative or not finite."""
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and >= 0")
+
+
 def torus_distance(x, y, out=None, work=None):
     """Wrap-around Euclidean distance between points (or arrays of points).
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import check_tau
 from .graph import apply_poly_laplacian, check_power, dense_spectrum, l2_mu_n
 
 DEFAULT_TOL = 1e-10
@@ -50,12 +51,6 @@ class ResolventProblem:
         if not np.all(np.isfinite(y)):
             raise ValueError("labels must be finite")
         object.__setattr__(self, "y", y)
-
-
-def check_tau(tau):
-    """Reject a resolvent weight that is negative or not finite."""
-    if not (np.isfinite(tau) and tau >= 0):
-        raise ValueError("tau must be finite and >= 0")
 
 
 def check_tol(tol):

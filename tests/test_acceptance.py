@@ -15,12 +15,7 @@ from polylap.continuum import (
     bias_bound,
     continuum_laplacian_uniform,
     exact_bias,
-    grid_points,
     mode_multiplier,
-    nonlocal_laplacian,
-    pseudo_spectral_continuum_laplacian,
-    sample_on_grid,
-    GridField,
 )
 from polylap.experiments import (
     NoiseSpec,
@@ -47,6 +42,12 @@ from polylap.graph import (
 )
 from polylap.solver import ResolventProblem, solve_resolvent, solve_resolvent_dense
 from polylap import cli
+from oracles import (
+    GridField,
+    nonlocal_laplacian,
+    pseudo_spectral_continuum_laplacian,
+    sample_on_grid,
+)
 
 G_TEST = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 0.5)])
 

@@ -480,6 +480,16 @@ class TestRecordsBytes:
         assert hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest() == digest
 
 
+# one small run of each command
+EVERY_COMMAND = [
+    ["sweep", "--n_grid=64,128", "--trials=1"],
+    ["denoise", "--eps=0.2", "--n=50", "--modes=1:1:0"],
+    ["consistency", "--eps_grid=0.3,0.2", "--k_mult=0.5", "--trials=1"],
+    ["degrees", "--n=200", "--eps=0.2", "--trials=1"],
+    ["spectrum", "--eps=0.2", "--n=50"],
+]
+
+
 class TestExitCodes:
     def test_missing_required_key(self, capsys):
         assert run_cli("denoise") == 1  # no eps anywhere
@@ -509,13 +519,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
     @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--n_grid=64,128", "--trials=1"],
-        ["denoise", "--eps=0.2", "--n=50", "--modes=1:1:0"],
-        ["consistency", "--eps_grid=0.3,0.2", "--k_mult=0.5", "--trials=1"],
-        ["degrees", "--n=200", "--eps=0.2", "--trials=1"],
-        ["spectrum", "--eps=0.2", "--n=50"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
     def test_negative_seed_named(self, tmp_path, capsys, argv, from_config, dry_run):
         # the dry run exited 0 and the run exited 1 with "expected
         # non-negative integer", which named no key
@@ -529,6 +533,26 @@ class TestExitCodes:
             argv.append("--seed=-1")
         assert run_cli(*argv) == 1
         message = "parameter 'seed' must be >= 0, got '-1'"
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_nonpositive_d_named(self, tmp_path, capsys, argv, d, from_config, dry_run):
+        # d = 0 failed in factorial() or on the mode vector length, and
+        # d = -1 on the column count of an input_csv, naming no key
+        out = tmp_path / "out"
+        argv = [*argv, "--out", str(out), *(["--dry-run"] if dry_run else [])]
+        if from_config:
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[{argv[0]}]\nd = {d}\n")
+            argv += ["--config", str(ini)]
+        else:
+            argv.append(f"--d={d}")
+        assert run_cli(*argv) == 1
+        message = f"parameter 'd' must be >= 1, got '{d}'"
         assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not out.exists()
 

@@ -9,17 +9,12 @@ from scipy import special
 from polylap import blocks
 from polylap.continuum import (
     FourierFunction,
-    GridField,
     bias_bound,
     continuum_laplacian_uniform,
     continuum_solve_uniform,
     exact_bias,
-    grid_points,
     mode_multiplier,
-    nonlocal_laplacian,
     nonlocal_multiplier,
-    pseudo_spectral_continuum_laplacian,
-    sample_on_grid,
 )
 from polylap.geometry import (
     INDICATOR,
@@ -30,6 +25,13 @@ from polylap.geometry import (
     unit_ball_volume,
 )
 from polylap.blocks import BLOCK
+from oracles import (
+    GridField,
+    grid_points,
+    nonlocal_laplacian,
+    pseudo_spectral_continuum_laplacian,
+    sample_on_grid,
+)
 
 SIGMA1 = 2.0 / 3.0  # sigma_eta(INDICATOR, 1)
 COEFF = SIGMA1 * 4.0 * math.pi**2  # eigenvalue of mode k=1, d=1
