@@ -86,8 +86,8 @@ def _density(p):
 
 # Every key a command reads, as key: (converter, default).  The converter is
 # int, float, str, or [int] / [float] for a comma-separated list; a default
-# is converted like a given value, and a key with default None stays unset
-# until given, so reading it reports a missing parameter.
+# is converted like a given value, and a key with default None is required,
+# except input_csv, which stays unset until given.
 _COMMON = {"d": (int, 1), "seed": (int, 0), "out": (str, "out")}
 _NOISE = {"noise": (str, xp.NoiseSpec.kind), "noise_scale": (float, xp.NoiseSpec.scale)}
 _DENSITY = {
@@ -185,6 +185,9 @@ def _collect_params(args, extras):
         if key in _LEAST and params[key] < _LEAST[key]:
             least, got = _LEAST[key], params[key]
             raise ValidationError(f"parameter {key!r} must be >= {least}, got '{got}'")
+    missing = [key for key in keys if key not in params and key != "input_csv"]
+    if missing:
+        raise ValidationError(f"missing parameter {missing[0]!r}")
     return params
 
 
@@ -238,27 +241,34 @@ def _load_points_csv(path, d):
     return points, np.array(labels)
 
 
+def _input_cloud(p):
+    """input_csv's points and labels, read and checked, its row count written
+    into p as n; without it, (None, None) once the sampled cloud passes check_cloud."""
+    if "input_csv" in p:
+        points, labels = _load_points_csv(p["input_csv"], p["d"])
+        p["n"] = len(points)
+        return points, labels
+    check_cloud(_density(p), p["n"], p["d"])
+    return None, None
+
+
 def cmd_denoise(p, dry_run):
     d, s, eps, tau, tol = p["d"], p["s"], p["eps"], p["tau"], p["tol"]
     kernel = KernelProfile(p["kernel"])
     check_eps(eps)
     check_power(s)
-    csv = p.get("input_csv")
-    if csv is None:  # the generated cloud's keys, checked by the dry run too
-        n, g = p["n"], parse_modes(p["modes"], d)
-        noise, density = xp.NoiseSpec(p["noise"], p["noise_scale"]), _density(p)
-        check_cloud(density, n, d)
-        xp.check_operator_size(n, d, eps, kernel)
+    points, y = _input_cloud(p)
+    if points is None:  # the label keys of a sampled cloud
+        g, noise = parse_modes(p["modes"], d), xp.NoiseSpec(p["noise"], p["noise_scale"])
+    xp.check_operator_size(p["n"], d, eps, kernel)
     check_tau(tau)
     check_tol(tol)
     if dry_run:
         return {}
 
-    if csv is None:
-        points = sample_cloud(density, n, d, p["seed"])
+    if points is None:
+        points = sample_cloud(_density(p), p["n"], d, p["seed"])
         y = xp.gen_labels(g, points, noise, xp.derive_seed(p["seed"], 1))
-    else:
-        points, y = _load_points_csv(csv, d)
 
     op, _, order = xp.make_operator(points, eps, kernel, want_order=True)
     y_op = y if order is None else y[order]
@@ -286,7 +296,7 @@ def cmd_sweep(p, dry_run):
     schedule = xp.Schedule(p["d"], p["s"], tuple(p["n_grid"]), p["eps_mult"], p["tau_mult"])
     g = parse_modes(p["modes"], p["d"])
     noise = xp.NoiseSpec(p["noise"], p["noise_scale"])
-    xp.check_sweep_inputs(p["trials"], p["tol"])
+    xp.check_sweep_inputs(schedule, p["trials"], p["tol"])
     p["eps"] = [schedule.eps_of(n) for n in p["n_grid"]]
     p["tau"] = [schedule.tau_of(n) for n in p["n_grid"]]
     if dry_run:
@@ -320,7 +330,7 @@ def cmd_consistency(p, dry_run):
     u = parse_modes(p["modes"], p["d"])
     rule = xp.default_n_rule(p["k_mult"], p["d"], s)
     p["n"] = [rule(e) for e in eps_grid]
-    xp.check_consistency_inputs(s, eps_grid, rule, p["trials"])
+    xp.check_consistency_inputs(p["d"], s, eps_grid, rule, p["trials"])
     if dry_run:
         return {}
 
@@ -341,31 +351,24 @@ def cmd_degrees(p, dry_run):
     n, d, eps, trials = p["n"], p["d"], p["eps"], p["trials"]
     check_eps(eps)
     density, kernel = _density(p), KernelProfile(p["kernel"])
-    xp.check_degree_inputs(n, d, eps, density, trials)
+    xp.check_degree_inputs(n, d, eps, density, kernel, trials)
     if dry_run:
         return {}
     return asdict(xp.degree_concentration_check(n, d, eps, density, kernel, trials, p["seed"]))
 
 
 def cmd_spectrum(p, dry_run):
-    d, eps = p["d"], p["eps"]
-    check_eps(eps)
+    check_eps(p["eps"])
     kernel = KernelProfile(p["kernel"])
-    if "input_csv" in p:
-        points, _ = _load_points_csv(p["input_csv"], d)
-        p["n"] = len(points)
-    else:
-        points, density = None, _density(p)
+    points, _ = _input_cloud(p)
     n = p["n"]
     if n > DENSE_THRESHOLD:  # before any cloud is sampled or operator built
         raise ValidationError(f"n={n} exceeds the dense spectrum threshold {DENSE_THRESHOLD}")
-    if points is None:
-        check_cloud(density, n, d)
     if dry_run:
         return {}
     if points is None:
-        points = sample_cloud(density, n, d, p["seed"])
-    op, _, _ = xp.make_operator(points, eps, kernel)
+        points = sample_cloud(_density(p), n, p["d"], p["seed"])
+    op, _, _ = xp.make_operator(points, p["eps"], kernel)
     vals, _ = dense_spectrum(op)
     return {"eigenvalues": [float(v) for v in vals]}
 
@@ -405,9 +408,6 @@ def main(argv=None):
             out = _outdir(params)
             _write_json(os.path.join(out, "summary.json"), summary)
             _echo_config(out, summary["config"])
-    except KeyError as err:  # a required key that no config or flag set
-        print(f"validation error: missing parameter {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValidationError, ValueError, MemoryError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

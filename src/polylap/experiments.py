@@ -301,10 +301,12 @@ def check_trials(trials):
         raise ValueError("trials must be >= 1")
 
 
-def check_sweep_inputs(trials_per_n, tol):
+def check_sweep_inputs(schedule, trials_per_n, tol):
     """Reject what rate_sweep cannot run, in the order it would fail on it."""
     check_trials(trials_per_n)
     check_tol(tol)
+    for n in schedule.n_grid:
+        check_operator_size(n, schedule.d, schedule.eps_of(n), INDICATOR)
 
 
 def rate_sweep(
@@ -322,7 +324,7 @@ def rate_sweep(
     the predicted exponent for the latter is s / (d + 4s).  Failed trials are
     excluded from the fit and counted.
     """
-    check_sweep_inputs(trials_per_n, tol)
+    check_sweep_inputs(schedule, trials_per_n, tol)
     configs = [
         TrialConfig(
             g=g,
@@ -408,16 +410,17 @@ def _median_slope(grid, pairs, x_of):
 CONSISTENCY_N_CAP = 100_000_000
 
 
-def check_consistency_inputs(s, eps_grid, n_rule, trials):
+def check_consistency_inputs(d, s, eps_grid, n_rule, trials):
     """Reject what consistency_sweep cannot run, before it samples a cloud:
-    fewer than one trial, a power s that is not an integer >= 1, or an
-    n(eps) above CONSISTENCY_N_CAP (MemoryError)."""
+    fewer than one trial, a power s that is not an integer >= 1, or an n(eps)
+    above CONSISTENCY_N_CAP or with too large an explicit graph (MemoryError)."""
     check_trials(trials)
     check_power(s)  # s = 0 would compare u with itself, s < 0 with an inverse power
     for eps in eps_grid:
         n = n_rule(eps)
         if n > CONSISTENCY_N_CAP:
             raise MemoryError(f"n(eps={eps}) = {n} exceeds the cap {CONSISTENCY_N_CAP}")
+        check_operator_size(n, d, eps, INDICATOR)
 
 
 def consistency_sweep(
@@ -442,8 +445,8 @@ def consistency_sweep(
     operator, that signal and one apply's prefix sums, 36 bytes per point.
     The two references then take the residuals in place.
     """
-    check_consistency_inputs(s, eps_grid, n_rule, trials)
     d = u.d
+    check_consistency_inputs(d, s, eps_grid, n_rule, trials)
     sigma = sigma_eta(INDICATOR, d)
     ref = continuum_laplacian_uniform(u, sigma, s)
     records, stochastic, nonlocal_bias = [], [], {}
@@ -498,13 +501,14 @@ class DegreeSummary:
 DEGREE_CAP_MULT = 10.0
 
 
-def check_degree_inputs(n, d, eps, density, trials):
+def check_degree_inputs(n, d, eps, density, kernel, trials):
     """Reject what degree_concentration_check cannot run, in the order it
     would fail on it."""
     if n * eps**d < 1.0:
         raise ValueError("need n * eps^d >= 1")
     check_trials(trials)
     check_cloud(density, n, d)
+    check_operator_size(n, d, eps, kernel)
 
 
 def degree_concentration_check(
@@ -521,7 +525,7 @@ def degree_concentration_check(
     Requires n eps^d >= 1, the concentration regime.  The neighbor cap is
     DEGREE_CAP_MULT times the unit-ball volume factor times n eps^d.
     """
-    check_degree_inputs(n, d, eps, density, trials)
+    check_degree_inputs(n, d, eps, density, kernel, trials)
     lo, hi, cnt = math.inf, -math.inf, 0
     for t in range(trials):
         points = sample_cloud(density, n, d, derive_seed(base_seed, t))

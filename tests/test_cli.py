@@ -270,6 +270,27 @@ class TestInputCsv:
         assert capsys.readouterr().err == f"validation error: {path}:3: non-finite label\n"
         assert not (tmp_path / "out").exists()
 
+    def test_denoise_dry_run_lists_row_count(self, capsys, csv_400):
+        path, _, _ = csv_400
+        assert run_cli("denoise", "--dry-run", "--eps=0.05", f"--input-csv={path}") == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 400
+
+    @pytest.mark.parametrize("body, code", [(None, 3), ("x1,y\n0.1,1.0\n0.2,0.5,9\n", 1)],
+                             ids=["missing", "ragged"])
+    @pytest.mark.parametrize("command", ["denoise", "spectrum"])
+    def test_dry_run_reads_the_file(self, tmp_path, capsys, command, body, code):
+        # the denoise dry run exited 0 on either file without reading it
+        path = tmp_path / "in.csv"
+        if body is not None:
+            path.write_text(body)
+        argv = [command, "--eps=0.2", f"--input-csv={path}", "--out", str(tmp_path / "out")]
+        errors = []
+        for dry_run in ([], ["--dry-run"]):
+            assert run_cli(*argv, *dry_run) == code
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and str(path) in errors[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("body, where", [
         ("x1,y\n0.1,1.0\n0.2,0.5,9\n", ":3: expected 2 fields"),
         ("x1,y\n0.1,1.0\n0.2,0.5\nabc,0.1\n", ":4: non-numeric field"),
@@ -494,6 +515,31 @@ class TestExitCodes:
     def test_missing_required_key(self, capsys):
         assert run_cli("denoise") == 1  # no eps anywhere
         assert "missing parameter 'eps'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["denoise", "--eps=0.2"], "missing parameter 'n'"),
+        (["denoise", "--eps=0.2", "--n=50"], "missing parameter 'modes'"),
+        (["spectrum", "--n=50"], "missing parameter 'eps'"),
+        # a given key is converted before a missing one is named
+        (["denoise", "--n=abc"], "parameter 'n' must be an integer, got 'abc'"),
+    ], ids=["denoise-n", "denoise-modes", "spectrum-eps", "converted-first"])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_missing_key_named(self, tmp_path, capsys, argv, message, dry_run):
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_key_error_in_a_command_propagates(self, tmp_path, monkeypatch):
+        # a bug inside a command is no missing parameter: this printed
+        # "validation error: missing parameter 'internal_table'" and exited 1
+        def fail(*args, **kwargs):
+            raise KeyError("internal_table")
+
+        monkeypatch.setattr(xp, "consistency_sweep", fail)
+        with pytest.raises(KeyError, match="internal_table"):
+            run_cli("consistency", "--eps_grid=0.3", "--k_mult=0.5", "--trials=1",
+                    "--out", str(tmp_path))
 
     def test_bad_override_format(self):
         assert run_cli("denoise", "--eps", "0.2", "oops") == 1
@@ -927,16 +973,31 @@ class TestExitCodes:
         (["consistency", "--eps_grid=0.05"], "n(eps=0.05) = 383453732 exceeds the cap 100000000"),
         (["denoise", "--eps=0.2", "--d=3", "--n=100000", "--modes=1,0,0:1:0"],
          "explicit graph of ~1.68e+08 edges exceeds 20000000"),
+        # the run did the n=1024 trial before the n=8192 graph failed the cap
+        (["sweep", "--d=2", "--modes=1,0:1:0", "--n_grid=1024,8192", "--trials=1"],
+         "explicit graph of ~2.45e+07 edges exceeds 20000000"),
+        (["consistency", "--d=2", "--modes=1,0:0:1", "--eps_grid=0.2", "--trials=1"],
+         "explicit graph of ~6.36e+10 edges exceeds 20000000"),
+        (["degrees", "--d=3", "--n=200000", "--eps=0.2", "--trials=1"],
+         "explicit graph of ~6.7e+08 edges exceeds 20000000"),
+        # an empty file has no header of d + 1 columns
+        (["denoise", "--eps=0.2", f"--input_csv={os.devnull}"],
+         f"expected 2 columns in {os.devnull!r}"),
     ], ids=["denoise-n", "denoise-modes", "denoise-noise", "denoise-density",
             "degrees-density", "degrees-density-mode", "degrees-kernel", "spectrum-density",
             "spectrum-kernel", "denoise-n-zero", "spectrum-n-zero", "denoise-density-mode",
             "degrees-trials", "degrees-regime", "denoise-tau-negative", "denoise-tau-inf",
             "denoise-tau-nan", "denoise-s-fraction", "denoise-noise-inf", "sweep-noise-nan",
             "denoise-tol", "sweep-tol", "sweep-trials", "consistency-trials",
-            "consistency-n-cap", "denoise-edge-cap"])
+            "consistency-n-cap", "denoise-edge-cap", "sweep-edge-cap",
+            "consistency-edge-cap", "degrees-edge-cap", "denoise-input-csv"])
     @pytest.mark.parametrize("dry_run", [True, False])
-    def test_dry_run_checks_what_the_run_checks(self, tmp_path, capsys, argv, message, dry_run):
-        # each of these dry runs exited 0 although the real run exits 1
+    def test_dry_run_checks_what_the_run_checks(
+        self, tmp_path, capsys, refuse, argv, message, dry_run
+    ):
+        # each of these dry runs exited 0 although the real run exits 1,
+        # and the run fails before it samples a cloud
+        refuse("sample_cloud")
         argv = [*argv, "--out", str(tmp_path / "out")]
         assert run_cli(*argv, *(["--dry-run"] if dry_run else [])) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"

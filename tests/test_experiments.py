@@ -266,6 +266,13 @@ class TestRateSweep:
         with pytest.raises(ValueError, match="^trials must be >= 1$"):
             rate_sweep(sch, G_DEFAULT, NoiseSpec("gaussian", 0.1), 0, 0)
 
+    def test_explicit_cap_before_any_trial(self, refuse):
+        # the n=1024 trial ran before the n=8192 graph failed the cap
+        refuse("sample_cloud")
+        g = FourierFunction.from_modes(2, [((1, 0), 1.0, 0.0)])
+        with pytest.raises(MemoryError, match="~2.45e\\+07 edges"):
+            rate_sweep(Schedule(d=2, s=1, n_grid=(1024, 8192)), g, NoiseSpec(), 1, 0)
+
     def test_single_n_nan_slopes(self):
         # one n leaves nothing to fit: NaN slopes, not a 0/0 RuntimeWarning
         sch = Schedule(d=1, s=1, n_grid=(256,))
@@ -386,6 +393,13 @@ class TestConsistencySweep:
         with pytest.raises(MemoryError, match="n\\(eps=0.05\\)"):
             consistency_sweep(u, 1, [0.3, 0.05], default_n_rule(40, 1, 1), 1, 0)
 
+    def test_explicit_cap_before_any_cloud(self, refuse):
+        # in d=2 the rule asks for n(0.2) = 1005899 points, far past the graph cap
+        refuse("sample_cloud")
+        u = FourierFunction.from_modes(2, [((1, 0), 0.0, 1.0)])
+        with pytest.raises(MemoryError, match="~6.36e\\+10 edges"):
+            consistency_sweep(u, 1, [0.2], default_n_rule(40, 2, 1), 1, 0)
+
     @pytest.mark.parametrize(
         "s, modes",
         [(1, SINE), (2, SINE), (1, COS_SIN), (2, COS_SIN)],
@@ -436,6 +450,11 @@ class TestDegreeConcentration:
             degree_concentration_check(10, 2, 0.05, UNIFORM, INDICATOR, 1, 0)
         with pytest.raises(ValueError, match="trials"):
             degree_concentration_check(10_000, 1, 0.05, UNIFORM, INDICATOR, 0, 0)
+
+    def test_explicit_cap_before_any_cloud(self, refuse):
+        refuse("sample_cloud")
+        with pytest.raises(MemoryError, match="~6.7e\\+08 edges"):
+            degree_concentration_check(200_000, 3, 0.2, UNIFORM, INDICATOR, 1, 0)
 
     def test_d1_indicator_builds_no_explicit_graph(self, refuse):
         # the call of acceptance criterion 7
