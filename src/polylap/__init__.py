@@ -26,7 +26,6 @@ from .graph import (
     l2_mu_n,
 )
 from .solver import (
-    ResolventProblem,
     SolveReport,
     SolverError,
     ansatz_signal,

@@ -33,7 +33,6 @@ from .graph import build_graph  # noqa: F401  unused; perfbench/spans.py wraps i
 from .graph import DENSE_THRESHOLD, check_power, dense_spectrum, dirichlet_energy, l2_mu_n
 from .solver import (
     DEFAULT_TOL,
-    ResolventProblem,
     SolverError,
     check_residual,
     check_tol,
@@ -77,11 +76,9 @@ def parse_modes(text, d):
 
 
 def _density(p):
-    if p["density"] == UNIFORM.kind:
-        return UNIFORM
-    if p["density"] == "cosine_bump":
-        return DensitySpec("cosine_bump", p["density_amplitude"], tuple(p["density_mode"]))
-    raise ValidationError(f"unknown density {p['density']!r}")
+    """The density p names; p has no bump keys under the uniform density."""
+    return DensitySpec(p["density"], p.get("density_amplitude", 0.0),
+                       tuple(p.get("density_mode", ())))
 
 
 # Every key a command reads, as key: (converter, default).  The converter is
@@ -210,7 +207,9 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _load_points_csv(path, d):
+def _load_points_csv(path, d, max_rows=None):
+    """Points and labels of the file; past max_rows data rows (the dense
+    spectrum threshold) it stops reading and raises."""
     points, labels = [], []
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
@@ -219,6 +218,10 @@ def _load_points_csv(path, d):
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
+            if len(points) == max_rows:
+                raise ValidationError(
+                    f"{path!r} has more data rows than the dense spectrum threshold {max_rows}"
+                )
             vals = line.strip().split(",")
             if len(vals) != d + 1:
                 raise ValidationError(f"{path}:{lineno}: expected {d + 1} fields")
@@ -241,11 +244,12 @@ def _load_points_csv(path, d):
     return points, np.array(labels)
 
 
-def _input_cloud(p):
-    """input_csv's points and labels, read and checked, its row count written
-    into p as n; without it, (None, None) once the sampled cloud passes check_cloud."""
+def _input_cloud(p, max_rows=None):
+    """input_csv's points and labels, read and checked (at most max_rows data
+    rows), its row count written into p as n; without it, (None, None) once
+    the sampled cloud passes check_cloud."""
     if "input_csv" in p:
-        points, labels = _load_points_csv(p["input_csv"], p["d"])
+        points, labels = _load_points_csv(p["input_csv"], p["d"], max_rows)
         p["n"] = len(points)
         return points, labels
     check_cloud(_density(p), p["n"], p["d"])
@@ -272,7 +276,7 @@ def cmd_denoise(p, dry_run):
 
     op, _, order = xp.make_operator(points, eps, kernel, want_order=True)
     y_op = y if order is None else y[order]
-    report = solve_resolvent(ResolventProblem(op, y_op, tau, s), tol)
+    report = solve_resolvent(op, y_op, tau, s, tol=tol)
     check_residual(report, tol)
     reg = dirichlet_energy(op, report.solution, s)
     u = report.solution
@@ -349,7 +353,6 @@ def cmd_consistency(p, dry_run):
 
 def cmd_degrees(p, dry_run):
     n, d, eps, trials = p["n"], p["d"], p["eps"], p["trials"]
-    check_eps(eps)
     density, kernel = _density(p), KernelProfile(p["kernel"])
     xp.check_degree_inputs(n, d, eps, density, kernel, trials)
     if dry_run:
@@ -360,7 +363,7 @@ def cmd_degrees(p, dry_run):
 def cmd_spectrum(p, dry_run):
     check_eps(p["eps"])
     kernel = KernelProfile(p["kernel"])
-    points, _ = _input_cloud(p)
+    points, _ = _input_cloud(p, DENSE_THRESHOLD)
     n = p["n"]
     if n > DENSE_THRESHOLD:  # before any cloud is sampled or operator built
         raise ValidationError(f"n={n} exceeds the dense spectrum threshold {DENSE_THRESHOLD}")

@@ -56,7 +56,6 @@ from .graph import (
 )
 from .solver import (
     DEFAULT_TOL,
-    ResolventProblem,
     SolverError,
     ansatz_signal,
     check_residual,
@@ -240,9 +239,7 @@ def run_trial(cfg: TrialConfig) -> ExperimentRecord:
     bias = exact_bias(cfg.g, cfg.tau, cfg.s, sigma)
 
     try:
-        report = check_residual(
-            solve_resolvent(ResolventProblem(op, y, cfg.tau, cfg.s), tol=cfg.tol), cfg.tol
-        )
+        report = check_residual(solve_resolvent(op, y, cfg.tau, cfg.s, tol=cfg.tol), cfg.tol)
     except SolverError as err:
         report = err.report
         failed = True
@@ -503,7 +500,8 @@ DEGREE_CAP_MULT = 10.0
 
 def check_degree_inputs(n, d, eps, density, kernel, trials):
     """Reject what degree_concentration_check cannot run, in the order it
-    would fail on it."""
+    would fail on it, eps first: the regime and size checks read it."""
+    check_eps(eps)
     if n * eps**d < 1.0:
         raise ValueError("need n * eps^d >= 1")
     check_trials(trials)

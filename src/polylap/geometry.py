@@ -109,7 +109,7 @@ class DensitySpec:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "cosine_bump"):
-            raise ValueError(f"unknown density kind {self.kind!r}")
+            raise ValueError(f"unknown density {self.kind!r}")
         if self.kind == "cosine_bump":
             if not (0.0 <= self.amplitude < 1.0):
                 raise ValueError("amplitude must lie in [0,1)")

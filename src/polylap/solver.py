@@ -4,8 +4,8 @@ The conjugate-gradient path works on any Laplacian operator (explicit graph
 or the d=1 interval form) and never assembles a matrix.  The diagonal of the
 shifted operator, tau * (2 D_ii / (n eps^2))^s + 1, is a natural Jacobi-style
 preconditioner because the degree term dominates the off-diagonal averaging.
-A dense spectral solve backs it up as an oracle for small n, and is the only
-path that accepts non-integer s.
+solve_resolvent_dense backs it up as a spectral oracle for small n; it takes
+any real s >= 0, where solve_resolvent takes only an integer s >= 1.
 
 The condition number satisfies kappa <= 1 + tau * ||Delta||_op^s, which grows
 like 1 + tau / eps^(2s), and CG iterations grow like sqrt(kappa).  For s = 2
@@ -34,23 +34,14 @@ from .graph import apply_poly_laplacian, check_power, dense_spectrum, l2_mu_n
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ResolventProblem:
-    graph: object
-    y: np.ndarray
-    tau: float
-    s: float = 1  # CG requires a positive integer; the dense oracle takes any s >= 0
-
-    def __post_init__(self):
-        check_tau(self.tau)
-        if not (np.isfinite(self.s) and self.s >= 0):
-            raise ValueError(f"s must be finite and >= 0, got {self.s}")
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != (self.graph.n,):
-            raise ValueError("label length does not match graph size")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("labels must be finite")
-        object.__setattr__(self, "y", y)
+def _labels(graph, y):
+    """y as a float array, or ValueError unless it is finite with shape (n,)."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (graph.n,):
+        raise ValueError("label length does not match graph size")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("labels must be finite")
+    return y
 
 
 def check_tol(tol):
@@ -88,7 +79,7 @@ def ansatz_signal(graph, xi, tau, s: int = 1):
     a smallness diagnostic whose norm scales like eps^(2s)/tau."""
     check_power(s)
     check_tau(tau)
-    return np.asarray(xi, dtype=float) / _shifted_diagonal(graph, tau, s)
+    return _labels(graph, xi) / _shifted_diagonal(graph, tau, s)
 
 
 def _shifted_diagonal(graph, tau, s):
@@ -200,11 +191,11 @@ def _cg(apply_a, diag, y, y_norm, bound, tol, max_iters, dtype):
 
 
 def solve_resolvent(
-    p: ResolventProblem,
-    tol: float = DEFAULT_TOL,
-    max_iters: int | None = None,
+    graph, y, tau: float, s: int = 1, *, tol: float = DEFAULT_TOL, max_iters: int | None = None
 ) -> SolveReport:
-    """Preconditioned CG from a zero initial guess (COCG for s = 2).
+    """(tau Delta^s + I)^-1 y for the operator graph and labels y (length
+    graph.n, finite), by preconditioned CG from a zero initial guess (COCG
+    for s = 2).
 
     Stops when the relative residual ||A u - y|| / ||y|| in L2(mu_n) is
     certified <= tol; for s = 2 the residual history holds that bound.
@@ -213,25 +204,26 @@ def solve_resolvent(
     accept or retry.  The true residual is recomputed at the end and
     reported; check_residual compares it with tol.
     """
+    check_tau(tau)
+    check_power(s)
+    y = _labels(graph, y)
     check_tol(tol)
-    check_power(p.s)  # the dense oracle takes any real s >= 0
-    graph, s, n = p.graph, int(p.s), p.graph.n
+    s, n = int(s), graph.n
     if max_iters is None:
         max_iters = 10 * n
-    y = p.y
     y_norm = l2_mu_n(y)
-    if p.tau == 0.0 or y_norm == 0.0:
+    if tau == 0.0 or y_norm == 0.0:
         u = y.copy()
         energy = -0.5 * float(y @ y) / n
         return SolveReport(u, 0, 0.0, [0.0], [energy])
 
-    apply_a = _operator(graph, p.tau, s)
+    apply_a = _operator(graph, tau, s)
     if s == 2:
         # (I + tau Delta^2)^-1 y = Re (I + i sigma Delta)^-1 y with sigma =
         # sqrt(tau).  The real residual of u = Re z is Re r + sigma Delta Im r,
         # so (1 + sigma ||Delta||) ||r|| bounds it; Gershgorin gives
         # ||Delta|| <= 4 max D / (n eps^2)
-        sigma = float(np.sqrt(p.tau))
+        sigma = float(np.sqrt(tau))
         lam_max = 4.0 * float(graph.degrees.max()) / (n * graph.eps**2)
         x, k, history, energies, failure = _cg(
             _shifted_pair_operator(graph, sigma), _shifted_diagonal(graph, sigma, 1),
@@ -240,7 +232,7 @@ def solve_resolvent(
         u = x.real.copy()
     else:
         u, k, history, energies, failure = _cg(
-            apply_a, _shifted_diagonal(graph, p.tau, s), y, y_norm, 1.0, tol, max_iters, float
+            apply_a, _shifted_diagonal(graph, tau, s), y, y_norm, 1.0, tol, max_iters, float
         )
     if failure is not None:
         raise SolverError(failure, SolveReport(u, k, history[-1], history, energies))
@@ -267,14 +259,17 @@ def check_residual(report: SolveReport, tol: float = DEFAULT_TOL) -> SolveReport
     return report
 
 
-def solve_resolvent_dense(p: ResolventProblem):
+def solve_resolvent_dense(graph, y, tau: float, s: float = 1):
     """Spectral-oracle solve: divide eigencoefficients by 1 + tau * lambda^s.
 
     Accepts any real s >= 0 (s = 0 degenerates to u = y / (1 + tau)).
     """
-    vals, vecs = dense_spectrum(p.graph)
+    check_tau(tau)
+    if not (np.isfinite(s) and s >= 0):
+        raise ValueError(f"s must be finite and >= 0, got {s}")
+    y = _labels(graph, y)
+    vals, vecs = dense_spectrum(graph)
     lam = np.clip(vals, 0.0, None)
-    coeffs = vecs.T @ p.y / p.graph.n  # <y, q_i> in L2(mu_n)
-    s = p.s
-    filt = coeffs / (1.0 + p.tau * lam**s)
+    coeffs = vecs.T @ y / graph.n  # <y, q_i> in L2(mu_n)
+    filt = coeffs / (1.0 + tau * lam**s)
     return vecs @ filt

@@ -40,7 +40,7 @@ from polylap.graph import (
     inner_mu_n,
     l2_mu_n,
 )
-from polylap.solver import ResolventProblem, solve_resolvent, solve_resolvent_dense
+from polylap.solver import solve_resolvent, solve_resolvent_dense
 from polylap import cli
 from oracles import (
     GridField,
@@ -71,8 +71,8 @@ def test_criterion_1_oracle_equivalence():
         s, tau = cases[k % len(cases)]
         graph = build_graph(sample_cloud(UNIFORM, n, d, 5000 + k), 0.25)
         y = rng.standard_normal(n)
-        p = ResolventProblem(graph, y, tau, s)
-        diff = l2_mu_n(solve_resolvent(p).solution - solve_resolvent_dense(p))
+        u = solve_resolvent(graph, y, tau, s).solution
+        diff = l2_mu_n(u - solve_resolvent_dense(graph, y, tau, s))
         worst = max(worst, diff)
     report("criterion 1: oracle equivalence", worst < 1e-8, f"worst diff {worst:.2e}")
 
@@ -87,7 +87,7 @@ def test_criterion_2_non_expansiveness():
         graph = build_graph(sample_cloud(UNIFORM, n, 1, 6000 + k), 0.25)
         y = rng.standard_normal(n)
         s, tau = combos[k % len(combos)]
-        u = solve_resolvent(ResolventProblem(graph, y, tau, s)).solution
+        u = solve_resolvent(graph, y, tau, s).solution
         worst = max(worst, l2_mu_n(u) / l2_mu_n(y))
     report("criterion 2: non-expansiveness", worst <= 1.0 + 1e-8, f"worst ratio {worst:.12f}")
 

@@ -17,7 +17,7 @@ from polylap.blocks import BLOCK
 from polylap.experiments import NoiseSpec, derive_seed, gen_labels, make_operator
 from polylap.geometry import INDICATOR, UNIFORM, sample_cloud
 from polylap.graph import build_graph
-from polylap.solver import ResolventProblem, solve_resolvent
+from polylap.solver import solve_resolvent
 
 
 def run_cli(*argv):
@@ -170,13 +170,13 @@ class TestDenoise:
         y = gen_labels(g, cloud, NoiseSpec("gaussian", 0.1), derive_seed(seed, 1))
         op, _, order = make_operator(cloud, eps, INDICATOR, want_order=True)
         u = np.empty(n)
-        u[order] = solve_resolvent(ResolventProblem(op, y[order], tau, s)).solution
+        u[order] = solve_resolvent(op, y[order], tau, s).solution
         assert np.array_equal(rows[:, 0], cloud[:, 0])
         assert np.array_equal(rows[:, 1], y)
         assert np.array_equal(rows[:, 2], u)
 
         graph = build_graph(cloud, eps)
-        u_explicit = solve_resolvent(ResolventProblem(graph, y, tau, s)).solution
+        u_explicit = solve_resolvent(graph, y, tau, s).solution
         assert rows[:, 2] == pytest.approx(u_explicit, rel=1e-9)
 
     def test_d1_indicator_builds_no_explicit_graph(self, tmp_path, refuse):
@@ -268,6 +268,21 @@ class TestInputCsv:
                        "--out", str(tmp_path / "out")) == 1
         # named like every other CSV error: by file and line
         assert capsys.readouterr().err == f"validation error: {path}:3: non-finite label\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    def test_spectrum_stops_reading_past_threshold(self, tmp_path, capsys, dry_run):
+        # the whole file was read before its row count met the threshold,
+        # so the malformed last row was named instead
+        path = tmp_path / "big.csv"
+        rows = "".join(f"{k / 1000!r},0.0\n" for k in range(cli.DENSE_THRESHOLD + 1))
+        path.write_text("x1,y\n" + rows + "abc,0.0\n")
+        argv = ["spectrum", *dry_run, "--eps=0.2", f"--input-csv={path}"]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {str(path)!r} has more data rows than the dense spectrum"
+            f" threshold {cli.DENSE_THRESHOLD}\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_denoise_dry_run_lists_row_count(self, capsys, csv_400):

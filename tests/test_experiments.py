@@ -54,7 +54,6 @@ from polylap.graph import (
     l2_mu_n,
 )
 from polylap.solver import (
-    ResolventProblem,
     SolveReport,
     ansatz_signal,
     solve_resolvent,
@@ -195,8 +194,8 @@ class TestRunTrial:
     def test_s2_matches_dense_oracle(self, monkeypatch):
         # the s = 2 solve runs COCG on (I + i sqrt(tau) Delta); a trial must
         # record what the spectral oracle's solution would give
-        def dense(p, tol):
-            return SolveReport(solve_resolvent_dense(p), 0, 0.0)
+        def dense(op, y, tau, s, *, tol):
+            return SolveReport(solve_resolvent_dense(op, y, tau, s), 0, 0.0)
 
         for k, tau in enumerate((1e-4, 1e-2, 1.0)):
             cfg = make_cfg(s=2, n=400, eps=0.1, tau=tau, trial=k)
@@ -451,6 +450,14 @@ class TestDegreeConcentration:
         with pytest.raises(ValueError, match="trials"):
             degree_concentration_check(10_000, 1, 0.05, UNIFORM, INDICATOR, 0, 0)
 
+    @pytest.mark.parametrize("eps", [0.7, math.nan])
+    def test_eps_checked_first(self, refuse, eps):
+        # eps = 0.7 raised MemoryError for ~7.7e+07 edges, and NaN sampled a
+        # cloud and built its graph before it failed
+        refuse("sample_cloud")
+        with pytest.raises(ValueError, match=f"eps={eps} must lie in"):
+            degree_concentration_check(10_000, 2, eps, UNIFORM, INDICATOR, 2, 0)
+
     def test_explicit_cap_before_any_cloud(self, refuse):
         refuse("sample_cloud")
         with pytest.raises(MemoryError, match="~6.7e\\+08 edges"):
@@ -635,7 +642,10 @@ def boundary_operator():
 
 # every function that takes tau, called with a given tau
 TAU_TAKERS = {
-    "ResolventProblem": lambda tau: ResolventProblem(boundary_operator(), np.ones(40), tau, 1),
+    "solve_resolvent": lambda tau: solve_resolvent(boundary_operator(), np.ones(40), tau, 1),
+    "solve_resolvent_dense": lambda tau: solve_resolvent_dense(
+        boundary_operator(), np.ones(40), tau, 1
+    ),
     "continuum_solve_uniform": lambda tau: continuum_solve_uniform(G_DEFAULT, tau, 1, 1.0),
     "bias_bound": lambda tau: bias_bound(G_DEFAULT, tau, 1, 1.0),
     "exact_bias": lambda tau: exact_bias(G_DEFAULT, tau, 1, 1.0),
@@ -651,22 +661,47 @@ POWER_TAKERS = {
     ),
     "dirichlet_energy": lambda s: dirichlet_energy(boundary_operator(), np.ones(40), s),
     "ansatz_signal": lambda s: ansatz_signal(boundary_operator(), np.ones(40), 0.1, s),
-    "solve_resolvent": lambda s: solve_resolvent(
-        ResolventProblem(boundary_operator(), np.ones(40), 0.1, s)
-    ),
+    "solve_resolvent": lambda s: solve_resolvent(boundary_operator(), np.ones(40), 0.1, s),
+}
+
+# every function that takes labels (or noise) on the operator's nodes,
+# called with given labels
+LABEL_TAKERS = {
+    "solve_resolvent": lambda y: solve_resolvent(boundary_operator(), y, 0.1, 1),
+    "solve_resolvent_dense": lambda y: solve_resolvent_dense(boundary_operator(), y, 0.1, 1),
+    "ansatz_signal": lambda y: ansatz_signal(boundary_operator(), y, 0.1, 1),
+}
+LENGTH = "label length does not match graph size"
+FINITE = "labels must be finite"
+BAD_LABELS = {
+    "wrong-length": (np.ones(39), LENGTH),
+    "length-1": (np.ones(1), LENGTH),
+    "nan": (np.r_[np.ones(39), np.nan], FINITE),
+    "inf": (np.r_[np.ones(39), np.inf], FINITE),
+    "-inf": (np.r_[np.ones(39), -np.inf], FINITE),
 }
 
 
 class TestParameterBoundaries:
-    """One check per parameter: check_tau for tau, check_power for s."""
+    """One check per parameter: check_tau for tau, check_power for s, one
+    rule for the labels."""
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("taker", TAU_TAKERS)
     def test_bad_tau(self, taker, tau):
         # exact_bias once returned a bias for tau = -1, and NaN passed every
-        # one of them but ResolventProblem
+        # one of them but the solvers
         with pytest.raises(ValueError, match="tau must be finite and >= 0"):
             TAU_TAKERS[taker](tau)
+
+    @pytest.mark.parametrize("labels", BAD_LABELS)
+    @pytest.mark.parametrize("taker", LABEL_TAKERS)
+    def test_bad_labels(self, taker, labels):
+        # ansatz_signal once returned NaN for NaN noise and broadcast a
+        # length-1 signal
+        y, message = BAD_LABELS[labels]
+        with pytest.raises(ValueError, match=message):
+            LABEL_TAKERS[taker](y)
 
     @pytest.mark.parametrize("s", [0, -1, 1.5])
     @pytest.mark.parametrize("taker", POWER_TAKERS)
