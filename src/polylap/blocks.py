@@ -2,10 +2,10 @@
 one thread per CPU this process may run on.
 
 Uniform sampling (`geometry.sample_cloud`), the `IntervalLaplacian`
-construction and apply, and `FourierFunction.evaluate_with` all run through
-`run_blocks`.  Every span writes only its own slices and no item's
-arithmetic depends on its span, so each result is bitwise that of the
-serial loop for any worker count.  This module imports nothing from the
+construction and apply, `FourierFunction.evaluate_with` and
+`FourierFunction.squared_errors` all run through `run_blocks`.  Every span
+writes only its own slices and no item's arithmetic depends on its span, so
+each result is bitwise that of the serial loop for any worker count.  This module imports nothing from the
 rest of the package, so the lowest of them, geometry, can use it too.
 """
 

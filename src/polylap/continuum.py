@@ -80,15 +80,67 @@ class FourierFunction:
         by the block loops' workers (`blocks.run_blocks`): per block and
         mode, the phase 2 pi x.k and each needed wave are computed once and
         c * wave is added into the block's slice of every output, mode by
-        mode, cosine before sine.  So each output is bitwise what evaluating
-        that function alone gives, for any worker count, and beside the
-        outputs each worker holds three arrays of BLOCK // WORKERS points,
-        24 * BLOCK bytes (1.5 MB) in all.  In d = 1 the phase is one
+        mode, cosine before sine (`_add_waves`).  So each output is bitwise
+        what evaluating that function alone gives, for any worker count, and
+        beside the outputs each worker holds three arrays of BLOCK // WORKERS
+        points, 24 * BLOCK bytes (1.5 MB) in all.  In d = 1 the phase is one
         multiply, about ten times faster than the matmul of a one-column
         block; it differs from it only in the sign of a zero phase, which
         the waves and their sums into the outputs do not keep.  In d >= 2
         the matmul's BLAS sum sets the bits, so it stays.
         """
+        x, pts, waves = self._waves(x, derived)
+        outs = [np.zeros(len(pts)) for _ in range(1 + len(derived))]
+
+        def evaluate_span(a, b, work):
+            _add_waves(pts, a, b, waves, [out[a:b] for out in outs], work[:, : b - a])
+
+        run_blocks(len(pts), evaluate_span, lambda size: np.empty((3, size)))
+        return [out.reshape(x.shape[:-1]) for out in outs]
+
+    def squared_errors(self, x, signal, *derived):
+        """[(signal - f(x))**2 for f in (self, *derived)], each f(x) bitwise
+        evaluate_with's, from one pass over the waves.
+
+        signal is a C-contiguous float64 array of shape x.shape[:-1]; the
+        last output is written into it, the others into new arrays, so two
+        functions cost one new array.  Each block sums every function's
+        waves into zeroed span buffers, as evaluate_with sums them into its
+        outputs, then subtracts each sum from the block's signal and squares
+        in place.  Beside the outputs each worker holds three arrays of
+        BLOCK // WORKERS points and one more per function: 40 * BLOCK bytes
+        (2.6 MB) in all for two functions.
+        """
+        x, pts, waves = self._waves(x, derived)
+        if not (
+            isinstance(signal, np.ndarray)
+            and signal.dtype == np.float64
+            and signal.shape == x.shape[:-1]
+            and signal.flags.c_contiguous
+            and signal.flags.writeable
+        ):
+            raise ValueError(
+                f"signal must be a writeable C-contiguous float64 array of shape {x.shape[:-1]}"
+            )
+        flat = signal.reshape(-1)
+        outs = [np.empty(len(pts)) for _ in derived] + [flat]  # flat written last
+
+        def errors_span(a, b, work):
+            sums = work[3:, : b - a]
+            sums.fill(0.0)
+            _add_waves(pts, a, b, waves, sums, work[:3, : b - a])
+            for out, ref in zip(outs, sums):
+                err = out[a:b]
+                np.subtract(flat[a:b], ref, out=err)
+                err *= err
+
+        run_blocks(len(pts), errors_span, lambda size: np.empty((3 + len(outs), size)))
+        return [out.reshape(x.shape[:-1]) for out in outs[:-1]] + [signal]
+
+    def _waves(self, x, derived):
+        """x as a float array, its points as an (n, d) array, and per mode of
+        this function its wave vector k and the (a, b) of each of (self,
+        *derived); ValueError if a point or a derived function does not fit."""
         x = np.asarray(x, dtype=float)
         fns = (self, *derived)
         for f in fns:
@@ -96,31 +148,11 @@ class FourierFunction:
                 raise ValueError("point dimension mismatch")
             if list(f.modes) != [k for k in self.modes if k in f.modes]:
                 raise ValueError("derived modes must follow this function's mode order")
-        pts = x.reshape(-1, self.d)
-        outs = [np.zeros(len(pts)) for _ in fns]
         waves = [
             (np.asarray(k, dtype=float), [f.modes.get(k, (0.0, 0.0)) for f in fns])
             for k in self.modes
         ]
-
-        def evaluate_span(a, b, work):
-            phase, wave, term = work[:, : b - a]
-            for k, coefs in waves:
-                if self.d == 1:
-                    np.multiply(pts[a:b, 0], k[0], out=phase)
-                else:
-                    np.matmul(pts[a:b], k, out=phase)
-                phase *= 2.0 * np.pi
-                for i, wave_fn in enumerate((np.cos, np.sin)):
-                    if any(c[i] for c in coefs):
-                        wave_fn(phase, out=wave)
-                        for out, c in zip(outs, coefs):
-                            if c[i]:
-                                np.multiply(c[i], wave, out=term)
-                                out[a:b] += term
-
-        run_blocks(len(pts), evaluate_span, lambda size: np.empty((3, size)))
-        return [out.reshape(x.shape[:-1]) for out in outs]
+        return x, x.reshape(-1, self.d), waves
 
     __call__ = evaluate
 
@@ -145,6 +177,27 @@ class FourierFunction:
 
     def max_abs_mode(self):
         return max((max(abs(c) for c in k) for k in self.modes), default=0)
+
+
+def _add_waves(pts, a, b, waves, sums, work):
+    """Add the waves of every function at pts[a:b] into its span array in
+    sums, mode by mode, cosine before sine; work holds the phase, wave and
+    term arrays of b - a points.  The one arithmetic behind evaluate_with
+    and squared_errors, so both keep the same bits."""
+    phase, wave, term = work
+    for k, coefs in waves:
+        if len(k) == 1:
+            np.multiply(pts[a:b, 0], k[0], out=phase)
+        else:
+            np.matmul(pts[a:b], k, out=phase)
+        phase *= 2.0 * np.pi
+        for i, wave_fn in enumerate((np.cos, np.sin)):
+            if any(c[i] for c in coefs):
+                wave_fn(phase, out=wave)
+                for total, c in zip(sums, coefs):
+                    if c[i]:
+                        np.multiply(c[i], wave, out=term)
+                        total += term
 
 
 def mode_multiplier(k, sigma, s):

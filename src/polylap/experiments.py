@@ -8,10 +8,12 @@ density only, where the Fourier references are closed-form):
   bias_err        ||u*_tau - g||               (analytic, n-independent)
   total_err       ||u_n - g|_nodes||
 
-Each Fourier mode's cosine and sine are evaluated once per trial by
-FourierFunction.evaluate_with, in blocks of points.  In run_trial g and
-u*_tau share their waves at the operator's nodes; in consistency_sweep
-Delta^s u and Delta_eps^s u at the nodes share their waves.
+Each Fourier mode's cosine and sine are evaluated once per trial, in
+blocks of points.  In run_trial g and u*_tau share their waves at the
+operator's nodes (FourierFunction.evaluate_with); in consistency_sweep
+Delta^s u and Delta_eps^s u share theirs, and each block's sums go straight
+into the squared residuals against Delta_n^s u (FourierFunction.
+squared_errors), so the reference phase holds 24 bytes per point.
 
 Rate fits use medians over trials; the heavy-tailed failure events the
 high-probability bounds allow would wreck a mean.
@@ -440,7 +442,10 @@ def consistency_sweep(
     A trial keeps one signal: u at the nodes, which every apply overwrites
     with its product (apply_poly_laplacian with out=lu), so it peaks at the
     operator, that signal and one apply's prefix sums, 36 bytes per point.
-    The two references then take the residuals in place.
+    The squared residuals against both references then come from one pass
+    over their waves (FourierFunction.squared_errors), the second written
+    into the signal: the nodes, the signal and one new array, 24 bytes per
+    point.
     """
     d = u.d
     check_consistency_inputs(d, s, eps_grid, n_rule, trials)
@@ -463,12 +468,11 @@ def consistency_sweep(
             lu = u.evaluate(nodes)
             apply_poly_laplacian(op, lu, s, out=lu)
             del op  # nodes keeps the coordinates; free the rest of the operator
-            refs = ref.evaluate_with(nodes, ref_eps)
-            for r in refs:
-                np.subtract(lu, r, out=r)
-                r *= r  # l2_mu_n's arithmetic, in place
-            err, stoch = (float(np.sqrt(np.mean(r))) for r in refs)
-            del nodes, lu, refs, r  # before the next trial's arrays
+            # (Delta_n^s u - ref)^2 for both references from one pass over
+            # their waves, the second into lu: l2_mu_n's arithmetic
+            squares = ref.squared_errors(nodes, lu, ref_eps)
+            err, stoch = (float(np.sqrt(np.mean(q))) for q in squares)
+            del nodes, lu, squares  # before the next trial's arrays
             stochastic.append(stoch)
             records.append(
                 ExperimentRecord(

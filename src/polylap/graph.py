@@ -472,13 +472,13 @@ class IntervalLaplacian:
 
     Every neighborhood {j : torus_dist(x_i, x_j) < eps} is a cyclic window in
     sorted order, so W u reduces to windowed prefix sums.  Signals are indexed
-    in sorted-coordinate order.  The operator keeps 20 bytes per point (x and
-    the int32 window ends and neighbor counts); construction and apply work
-    in blocks of BLOCK = 2^16 points, shared by the CPUs this process may
-    run on (`blocks.run_blocks`), so an apply holds no other n-length array
-    than u, the prefix sums and its result: 36 bytes per point with the
-    operator when it writes into u (apply(u, out=u)), 44 with a separate
-    result.  Every worker holds its own buffers for BLOCK // WORKERS points,
+    in sorted-coordinate order.  The operator keeps 20 bytes per point: x,
+    and the int32 window ends and neighbor counts as the three rows of one
+    (3, n) block.  Construction and apply work in blocks of BLOCK = 2^16
+    points, shared by the CPUs this process may run on (`blocks.run_blocks`),
+    so an apply holds no other n-length array than u, the prefix sums and its
+    result: 36 bytes per point with the operator when it writes into u
+    (apply(u, out=u)), 44 with a separate result.  Every worker holds its own buffers for BLOCK // WORKERS points,
     so all of them together take what one serial block does: about
     34 * BLOCK bytes (2.2 MB) in the construction, 16 * BLOCK (1 MB) in an
     apply.  The window ends of a block are found in O(BLOCK) by merging its
@@ -508,9 +508,9 @@ class IntervalLaplacian:
         self.n = n
         self.eps = float(eps)
         self.x = x
-        self._lo_rem = np.empty(n, np.int32)
-        self._hi_rem = np.empty(n, np.int32)
-        self._counts = np.empty(n, np.int32)
+        # one (3, n) allocation, not three: for n below 2^20 an array of n
+        # int32 falls under the 4 MiB at which NumPy asks for huge pages
+        self._lo_rem, self._hi_rem, self._counts = np.empty((3, n), np.int32)
         # x_i - eps < 0 for i < _below_end, x_i + eps >= 1 for i >= _above_start
         self._below_end = bisect_left(x, True, key=lambda v: v - eps >= 0.0)
         self._above_start = bisect_left(x, True, key=lambda v: v + eps >= 1.0)

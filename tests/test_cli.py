@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from polylap import cli
+from polylap import blocks, cli
 from polylap import experiments as xp
 from polylap.blocks import BLOCK
 from polylap.experiments import NoiseSpec, derive_seed, gen_labels, make_operator
@@ -497,6 +497,12 @@ class TestRecordsBytes:
              "--modes=0:0.5:0.0;1:1.0:-0.3;2:0.0:0.25", "--seed=5"],
             "eef6f5b52b78e03eca01ac4d0318b8262f0a6c0f3c5fac3c45fec89dc31a3511",
         ),
+        # the explicit-graph path, where the references are evaluated at the cloud
+        "consistency_d2": (
+            ["consistency", "--d=2", "--eps_grid=0.3,0.25", "--trials=2", "--k_mult=0.3",
+             "--modes=0,0:0.5:0.0;1,0:1.0:-0.3;0,2:0.0:0.5", "--seed=2"],
+            "85d3d0387d4dad780d520caa4a0b6e289e313b38dd600fa430a0560335806406",
+        ),
         "denoise_d1": (
             ["denoise", "--d=1", "--n=500", "--eps=0.05", "--tau=0.01",
              "--modes=1:1.0:0.0;3:0.0:0.4", "--seed=2"],
@@ -514,6 +520,12 @@ class TestRecordsBytes:
         argv, digest = self.CASES[case]
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
         assert hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_sha256_any_worker_count(self, tmp_path, monkeypatch, workers):
+        # the block loops split the references' spans among the workers
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        self.test_sha256(tmp_path, "consistency_d1_s2_blocks")
 
 
 # one small run of each command

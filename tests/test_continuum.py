@@ -148,6 +148,83 @@ class TestEvaluateWith:
             a.evaluate_with(x, FourierFunction.from_modes(2, [((1, 0), 1.0, 0.0)]))
 
 
+def squared_errors_reference(signal, f, x):
+    """(signal - f(x))**2 with f evaluated one wave at a time."""
+    diff = signal - evaluate_reference(f, x)
+    return diff * diff
+
+
+class TestSquaredErrors:
+    G = TestEvaluateWith.G
+
+    def check(self, x, fns, seed):
+        # one and two workers, each output bitwise the reference's, the last
+        # written into the signal
+        signal = np.random.default_rng(seed).standard_normal(x.shape[:-1])
+        for workers in (1, 2):
+            given = signal.copy()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(blocks, "WORKERS", workers)
+                outs = fns[0].squared_errors(x, given, *fns[1:])
+            assert outs[-1] is given
+            assert len(outs) == len(fns)
+            for fn, got in zip(fns, outs):
+                assert same_bits(got, squared_errors_reference(signal, fn, x))
+
+    def test_bitwise_d1_signed_zeros(self):
+        x = sample_cloud(UNIFORM, 3 * BLOCK + 17, 1, 5)
+        x[::7], x[3::7] = 0.0, -0.0
+        lap = continuum_laplacian_uniform(self.G, SIGMA1, 1)  # drops the constant mode
+        self.check(x, (self.G, lap), 1)
+        self.check(x, (lap,), 2)
+
+    def test_bitwise_d2_d3_and_derived_subset(self):
+        n = 3 * BLOCK + 17
+        for zero, cos_k, sin_k, both_k in [
+            ((0, 0), (1, 0), (0, 2), (1, 1)),
+            ((0, 0, 0), (1, 0, -1), (0, 2, 1), (1, 1, 3)),
+        ]:
+            d = len(zero)
+            f = FourierFunction.from_modes(
+                d, [(zero, -1.5, 0.0), (cos_k, 1.0, 0.0), (sin_k, 0.0, 0.5), (both_k, 0.2, 0.4)]
+            )
+            lap = continuum_laplacian_uniform(f, SIGMA1, 2)  # drops the constant mode
+            cos_only = f.map_modes(lambda k: 0.0 if k == sin_k else 3.0)  # lacks sin_k
+            x = sample_cloud(UNIFORM, n, d, 4)
+            self.check(x, (f, lap, cos_only), 3)
+            self.check(x, (lap,), 4)
+
+    def test_validation(self):
+        a = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 1.0)])
+        b = FourierFunction.from_modes(1, [((2,), 0.0, 1.0), ((1,), 1.0, 0.0)])
+        x = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="mode order"):
+            a.squared_errors(x, np.zeros(3), b)
+        with pytest.raises(ValueError, match="dimension"):
+            a.squared_errors(x, np.zeros(3), FourierFunction.from_modes(2, [((1, 0), 1.0, 0.0)]))
+        read_only = np.zeros(3)
+        read_only.flags.writeable = False
+        for signal in (
+            np.zeros(4), np.zeros((3, 1)), np.zeros(3, np.float32), [0.0, 0.0, 0.0],
+            np.zeros(6)[::2], read_only,
+        ):
+            with pytest.raises(ValueError, match=r"signal must be .* of shape \(3,\)"):
+                a.squared_errors(x, signal)
+
+    def test_memory(self, traced_peak):
+        # two functions: one new n-length array beside the signal, plus the
+        # workers' span buffers, which share one block's room
+        n = 1_000_000
+        x = sample_cloud(UNIFORM, n, 1, 6)
+        lap = continuum_laplacian_uniform(self.G, SIGMA1, 1)
+        for workers in (1, 2):
+            signal = np.zeros(n)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(blocks, "WORKERS", workers)
+                _, peak = traced_peak(self.G.squared_errors, x, signal, lap)
+            assert peak <= 8 * n + 48 * BLOCK, f"{workers}: {peak / n:.2f} B/pt"
+
+
 class TestContinuumLaplacian:
     def test_constant_in_nullspace(self):
         f = FourierFunction.from_modes(1, [((0,), 1.0, 0.0)])
