@@ -51,6 +51,7 @@ from .graph import (
     IntervalLaplacian,
     apply_poly_laplacian,
     build_graph,
+    check_interval_size,
     check_power,
     cloud_shape,
     degree_statistics,
@@ -190,9 +191,12 @@ MAX_EXPLICIT_EDGES = 20_000_000
 
 def check_operator_size(n, d, eps, kernel):
     """Whether make_operator builds the O(n) IntervalLaplacian (d = 1 with the
-    indicator kernel) and not the explicit epsilon-graph, which raises
-    MemoryError here if its expected edge count exceeds MAX_EXPLICIT_EDGES."""
+    indicator kernel) and not the explicit epsilon-graph.  The first raises
+    ValueError here for more points than its int32 window ends index
+    (`check_interval_size`), the second MemoryError if its expected edge
+    count exceeds MAX_EXPLICIT_EDGES."""
     if d == 1 and kernel.kind == "indicator":
+        check_interval_size(n)
         return True
     edges = n * (n - 1) / 2 * unit_ball_volume(d) * eps**d
     if edges > MAX_EXPLICIT_EDGES:
@@ -441,7 +445,7 @@ def consistency_sweep(
 
     A trial keeps one signal: u at the nodes, which every apply overwrites
     with its product (apply_poly_laplacian with out=lu), so it peaks at the
-    operator, that signal and one apply's prefix sums, 36 bytes per point.
+    operator, that signal and one apply's prefix sums, 32 bytes per point.
     The squared residuals against both references then come from one pass
     over their waves (FourierFunction.squared_errors), the second written
     into the signal: the nodes, the signal and one new array, 24 bytes per

@@ -22,9 +22,9 @@ For d = 1 with the indicator kernel the neighborhood of each point is a
 contiguous window in sorted order, so `IntervalLaplacian` applies the same
 operator in O(n) per product without storing any edges.  It is exactly
 equivalent to the explicit graph (tested) and is what makes the large-n
-sweeps fit in memory: it keeps 20 bytes per point and works in blocks of
-`blocks.BLOCK` (2^16) points, so one apply peaks at about 36 bytes per
-point with its input, which it may overwrite, and the prefix sums (44 with
+sweeps fit in memory: it keeps 16 bytes per point and works in blocks of
+`blocks.BLOCK` (2^16) points, so one apply peaks at about 32 bytes per
+point with its input, which it may overwrite, and the prefix sums (40 with
 a separate result).  Its construction finds the window ends in O(n) too: a
 block's shifted coordinates x - eps and x + eps are at most two ascending
 runs each, and each run is merged into the slice of sorted points that
@@ -466,24 +466,39 @@ def _merge_buffers(size):
     return np.empty(2 * size, np.uint64), np.empty(2 * size, bool), np.arange(size)
 
 
+# the most points whose window ends, positions 0..n, an int32 holds
+MAX_INTERVAL_POINTS = np.iinfo(np.int32).max
+
+
+def check_interval_size(n):
+    """Reject a d=1 cloud of more points than MAX_INTERVAL_POINTS: its window
+    ends would wrap in the int32 rows of IntervalLaplacian."""
+    if n > MAX_INTERVAL_POINTS:
+        raise ValueError(
+            f"n={n} exceeds {MAX_INTERVAL_POINTS}, the most points IntervalLaplacian indexes"
+        )
+
+
 class IntervalLaplacian:
     """Matrix-free d=1 indicator-kernel Laplacian on sorted points, given
     as a 1-D array of coordinates or an (n, 1) cloud.
 
     Every neighborhood {j : torus_dist(x_i, x_j) < eps} is a cyclic window in
     sorted order, so W u reduces to windowed prefix sums.  Signals are indexed
-    in sorted-coordinate order.  The operator keeps 20 bytes per point: x,
-    and the int32 window ends and neighbor counts as the three rows of one
-    (3, n) block.  Construction and apply work in blocks of BLOCK = 2^16
+    in sorted-coordinate order.  The operator keeps 16 bytes per point: x,
+    and the int32 window ends as the two rows of one (2, n) block; a
+    window's neighbor count is derived from its ends where it is needed
+    (`_span_counts`).  Construction and apply work in blocks of BLOCK = 2^16
     points, shared by the CPUs this process may run on (`blocks.run_blocks`),
     so an apply holds no other n-length array than u, the prefix sums and its
-    result: 36 bytes per point with the operator when it writes into u
-    (apply(u, out=u)), 44 with a separate result.  Every worker holds its own buffers for BLOCK // WORKERS points,
-    so all of them together take what one serial block does: about
-    34 * BLOCK bytes (2.2 MB) in the construction, 16 * BLOCK (1 MB) in an
-    apply.  The window ends of a block are found in O(BLOCK) by merging its
-    shifted coordinates, at most two ascending runs, into the sorted points
-    (`_merge_searchsorted`), not by one binary search per point.
+    result: 32 bytes per point with the operator when it writes into u
+    (apply(u, out=u)), 40 with a separate result.  Every worker holds its
+    own buffers for BLOCK // WORKERS points, so all of them together take
+    what one serial block does: about 34 * BLOCK bytes (2.2 MB) in the
+    construction, 16 * BLOCK (1 MB) in an apply.  The window ends of a
+    block are found in O(BLOCK) by merging its shifted coordinates, at most
+    two ascending runs, into the sorted points (`_merge_searchsorted`), not
+    by one binary search per point.
     """
 
     def __init__(self, points, eps):
@@ -491,6 +506,7 @@ class IntervalLaplacian:
         x = np.asarray(points, dtype=float)
         if x.shape not in ((x.size,), (x.size, 1)):
             raise ValueError(f"points must be a 1-D or an (n, 1) array, got shape {x.shape}")
+        check_interval_size(x.size)
         x = np.sort(x.reshape(-1))
         n = x.size
         if n == 0:
@@ -508,9 +524,10 @@ class IntervalLaplacian:
         self.n = n
         self.eps = float(eps)
         self.x = x
-        # one (3, n) allocation, not three: for n below 2^20 an array of n
-        # int32 falls under the 4 MiB at which NumPy asks for huge pages
-        self._lo_rem, self._hi_rem, self._counts = np.empty((3, n), np.int32)
+        # one (2, n) allocation, not two: from n = 2^19 on it reaches the
+        # 4 MiB at which NumPy asks for huge pages, which an array of n
+        # int32 reaches only from 2^20
+        self._lo_rem, self._hi_rem = np.empty((2, n), np.int32)
         # x_i - eps < 0 for i < _below_end, x_i + eps >= 1 for i >= _above_start
         self._below_end = bisect_left(x, True, key=lambda v: v - eps >= 0.0)
         self._above_start = bisect_left(x, True, key=lambda v: v + eps >= 1.0)
@@ -522,27 +539,47 @@ class IntervalLaplacian:
         above = min(max(self._above_start - a, 0), b - a)
         return below, above
 
+    def _wrap_regions(self, a, b):
+        """(first, last, k) for the span [a, b): its windows wrap once before
+        first and from last on, and k times between them, 2 where the prefix
+        and the suffix overlap, else 0."""
+        below, above = self._wrap_ends(a, b)
+        first, last = sorted((below, above))
+        return first, last, 2 if above < below else 0
+
     def _init_span(self, a, b, work):
-        x, eps, n = self.x, self.eps, self.n
-        lo, hi, counts = self._lo_rem[a:b], self._hi_rem[a:b], self._counts[a:b]
+        x, eps = self.x, self.eps
+        lo, hi = self._lo_rem[a:b], self._hi_rem[a:b]
         below, above = self._wrap_ends(a, b)
         _merge_searchsorted(x, x[a : a + below], -eps, 1.0, "right", lo[:below], *work)
         _merge_searchsorted(x, x[a + below : b], -eps, 0.0, "right", lo[below:], *work)
         _merge_searchsorted(x, x[a : a + above], eps, 0.0, "left", hi[:above], *work)
         _merge_searchsorted(x, x[a + above : b], eps, -1.0, "left", hi[above:], *work)
-        # the window holds hi - lo + n * wraps points, the point itself once
-        np.subtract(hi, lo, out=counts)
-        counts -= 1
-        counts[:below] += n
-        counts[above:] += n
+
+    def _span_counts(self, a, b, out, regions):
+        """The neighbor counts of the points [a, b), whose _wrap_regions are
+        regions, written into out (float64 or int64) and returned: a window
+        holds hi - lo + n * wraps points, the point itself once.  Every count
+        is exact in float64 too."""
+        n = self.n
+        first, last, k = regions
+        np.subtract(self._hi_rem[a:b], self._lo_rem[a:b], out=out)
+        out[:first] += n - 1
+        out[first:last] += k * n - 1
+        out[last:] += n - 1
+        return out
 
     @property
     def degrees(self):
         """sum_j W_ij with W = 1/eps per neighbor, computed on each access."""
-        return self._counts / self.eps
+        n = self.n
+        degrees = self._span_counts(0, n, np.empty(n), self._wrap_regions(0, n))
+        degrees /= self.eps
+        return degrees
 
     def neighbor_counts(self):
-        return self._counts.astype(np.int64)
+        n = self.n
+        return self._span_counts(0, n, np.empty(n, np.int64), self._wrap_regions(0, n))
 
     def apply(self, u, out=None):
         """(2/(n eps^2)) (D - W) u in sorted order, written into out if given
@@ -567,14 +604,16 @@ class IntervalLaplacian:
             w -= t
             # + wraps * total: once on the prefix and the suffix of wrapped
             # windows, 0 * total between them, or 2 * total where they overlap
-            below, above = self._wrap_ends(a, b)
-            first, last = sorted((below, above))
+            first, last, k = regions = self._wrap_regions(a, b)
             w[:first] += total
-            w[first:last] += (2.0 if above < below else 0.0) * total
+            w[first:last] += k * total
             w[last:] += total
             w -= ub  # exclude self
             w /= eps  # W u
-            np.divide(self._counts[a:b], eps, out=t)  # degrees
+            # the degrees, from counts written into t: a separate int32
+            # buffer is fresh memory, whose page faults cost more per apply
+            self._span_counts(a, b, t, regions)
+            t /= eps
             t *= ub
             o = out[a:b]
             np.subtract(t, w, out=o)

@@ -79,12 +79,13 @@ def ansatz_signal(graph, xi, tau, s: int = 1):
     a smallness diagnostic whose norm scales like eps^(2s)/tau."""
     check_power(s)
     check_tau(tau)
-    return _labels(graph, xi) / _shifted_diagonal(graph, tau, s)
+    return _labels(graph, xi) / _shifted_diagonal(graph, graph.degrees, tau, s)
 
 
-def _shifted_diagonal(graph, tau, s):
-    """Diagonal of tau * Delta^s + I with only the degree term kept."""
-    return tau * (2.0 * graph.degrees / (graph.n * graph.eps**2)) ** s + 1.0
+def _shifted_diagonal(graph, degrees, tau, s):
+    """Diagonal of tau * Delta^s + I with only the degree term kept, from
+    the graph's degrees."""
+    return tau * (2.0 * degrees / (graph.n * graph.eps**2)) ** s + 1.0
 
 
 def _operator(graph, tau, s):
@@ -218,22 +219,23 @@ def solve_resolvent(
         return SolveReport(u, 0, 0.0, [0.0], [energy])
 
     apply_a = _operator(graph, tau, s)
+    degrees = graph.degrees  # read once: IntervalLaplacian derives them on each access
     if s == 2:
         # (I + tau Delta^2)^-1 y = Re (I + i sigma Delta)^-1 y with sigma =
         # sqrt(tau).  The real residual of u = Re z is Re r + sigma Delta Im r,
         # so (1 + sigma ||Delta||) ||r|| bounds it; Gershgorin gives
         # ||Delta|| <= 4 max D / (n eps^2)
         sigma = float(np.sqrt(tau))
-        lam_max = 4.0 * float(graph.degrees.max()) / (n * graph.eps**2)
-        x, k, history, energies, failure = _cg(
-            _shifted_pair_operator(graph, sigma), _shifted_diagonal(graph, sigma, 1),
-            y, y_norm, 1.0 + sigma * lam_max, tol, max_iters, complex,
-        )
-        u = x.real.copy()
+        lam_max = 4.0 * float(degrees.max()) / (n * graph.eps**2)
+        apply_cg = _shifted_pair_operator(graph, sigma)
+        diag = _shifted_diagonal(graph, degrees, sigma, 1)
+        bound, dtype = 1.0 + sigma * lam_max, complex
     else:
-        u, k, history, energies, failure = _cg(
-            apply_a, _shifted_diagonal(graph, tau, s), y, y_norm, 1.0, tol, max_iters, float
-        )
+        apply_cg, diag = apply_a, _shifted_diagonal(graph, degrees, tau, s)
+        bound, dtype = 1.0, float
+    del degrees  # not held through the solve
+    x, k, history, energies, failure = _cg(apply_cg, diag, y, y_norm, bound, tol, max_iters, dtype)
+    u = x.real.copy() if s == 2 else x
     if failure is not None:
         raise SolverError(failure, SolveReport(u, k, history[-1], history, energies))
     # recompute the true residual; the recurrence can drift slightly

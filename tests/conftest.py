@@ -61,3 +61,20 @@ def traced_peak():
         return result, peak
 
     return measure
+
+
+@pytest.fixture
+def check_peak(request):
+    """check_peak(peak, n, budget, slack=0, label="", unit="pt"): assert that
+    peak bytes stay within budget bytes per unit for n units plus slack, and
+    once they do print `peak X.XX B/pt (budget Y)` under the test's name,
+    with Y the bound per unit, slack included, so a run with -s logs every
+    traced peak beside its budget."""
+
+    def check(peak, n, budget, slack=0, label="", unit="pt"):
+        where = request.node.nodeid + (f" [{label}]" if label else "")
+        bound = budget * n + slack
+        assert peak <= bound, f"{where}: {peak / n:.2f} B/{unit}"
+        print(f"\n{where}: peak {peak / n:.2f} B/{unit} (budget {bound / n:.2f})")
+
+    return check

@@ -211,7 +211,7 @@ class TestSquaredErrors:
             with pytest.raises(ValueError, match=r"signal must be .* of shape \(3,\)"):
                 a.squared_errors(x, signal)
 
-    def test_memory(self, traced_peak):
+    def test_memory(self, traced_peak, check_peak):
         # two functions: one new n-length array beside the signal, plus the
         # workers' span buffers, which share one block's room
         n = 1_000_000
@@ -222,7 +222,7 @@ class TestSquaredErrors:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(blocks, "WORKERS", workers)
                 _, peak = traced_peak(self.G.squared_errors, x, signal, lap)
-            assert peak <= 8 * n + 48 * BLOCK, f"{workers}: {peak / n:.2f} B/pt"
+            check_peak(peak, n, 8, 48 * BLOCK, f"{workers} workers")
 
 
 class TestContinuumLaplacian:

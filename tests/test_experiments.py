@@ -63,7 +63,7 @@ from polylap.solver import (
 G_DEFAULT = FourierFunction.from_modes(1, [((1,), 1.0, 0.0), ((2,), 0.0, 0.5)])
 # peak bytes per point of a d=1 consistency trial, plus a fixed slack for
 # block-sized work arrays
-MEMORY_BUDGET = 37
+MEMORY_BUDGET = 33
 MEMORY_SLACK = 32 * BLOCK
 SINE = [((1,), 0.0, 1.0)]
 COS_SIN = [((1,), 0.3, 1.0)]  # a cosine and a sine in one mode
@@ -222,8 +222,8 @@ class TestRunTrial:
         assert rec.solver_residual <= 1e-10
         assert rec.solver_iterations >= 1
 
-    def test_memory_budget(self, traced_peak):
-        # the s = 1 solve holds the operator (20 B/pt), g, u*_tau and the
+    def test_memory_budget(self, traced_peak, check_peak):
+        # the s = 1 solve holds the operator (16 B/pt), g, u*_tau and the
         # labels at the nodes (24), CG's x, r, d, work buffer (which also
         # holds z), product buffer and diagonal (48), and an apply's prefix
         # sums (8): the sampled cloud, the nodes, the noise and the order are
@@ -231,7 +231,7 @@ class TestRunTrial:
         n = 1_000_000
         rec, peak = traced_peak(run_trial, make_cfg(n=n, eps=0.3, tau=0.3))
         assert not rec.failed
-        assert peak <= 100 * n + MEMORY_SLACK, f"{peak / n:.2f} B/pt"
+        check_peak(peak, n, 96, MEMORY_SLACK)
 
 
 class TestRateSweep:
@@ -404,8 +404,8 @@ class TestConsistencySweep:
         [(1, SINE), (2, SINE), (1, COS_SIN), (2, COS_SIN)],
         ids=["1", "2", "cos_sin-1", "cos_sin-2"],
     )
-    def test_memory_budget(self, traced_peak, s, modes):
-        # a d=1 trial holds at most the operator (20 B/pt), the signal,
+    def test_memory_budget(self, traced_peak, check_peak, s, modes):
+        # a d=1 trial holds at most the operator (16 B/pt), the signal,
         # which every apply overwrites, and the prefix sums (8 B/pt each):
         # the sampled cloud, the operator's index arrays and the previous
         # trial's arrays are freed before they would add to that, and the
@@ -418,7 +418,7 @@ class TestConsistencySweep:
                 mp.setattr(blocks, "WORKERS", workers)
                 res, peak = traced_peak(consistency_sweep, u, s, [0.1], lambda e: n, 2, 3)
             assert [r.n for r in res.records] == [n, n]
-            assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{workers}: {peak / n:.2f} B/pt"
+            check_peak(peak, n, MEMORY_BUDGET, MEMORY_SLACK, f"{workers} workers")
 
     def test_s2_errors_decrease(self):
         # n(eps) must follow the d + 4s rule or the fluctuation term takes
@@ -498,6 +498,12 @@ class TestMakeOperator:
             xp.make_operator(points, 0.05, PLATEAU)
         op, _, _ = xp.make_operator(points, 0.05, INDICATOR)  # interval form: no cap
         assert op.n == 100_000
+
+    def test_interval_size_guard(self):
+        # 3e9 points passed, and their int32 window ends would have wrapped
+        with pytest.raises(ValueError, match="^n=3000000000 exceeds 2147483647"):
+            xp.check_operator_size(3_000_000_000, 1, 0.1, INDICATOR)
+        assert xp.check_operator_size(2**31 - 1, 1, 0.1, INDICATOR)
 
     @pytest.mark.parametrize("kernel", [INDICATOR, PLATEAU])
     def test_points_not_a_cloud(self, kernel):

@@ -24,6 +24,7 @@ from polylap.geometry import (
 )
 from polylap.blocks import BLOCK
 from polylap.graph import (
+    MAX_INTERVAL_POINTS,
     IntervalLaplacian,
     apply_poly_laplacian,
     build_graph,
@@ -348,10 +349,10 @@ class TestSortedAssembly:
         (5200, 3, 0.125, "indicator", 38),
         (5200, 3, 0.125, "plateau", 43),
     ])
-    def test_memory_budget(self, traced_peak, n, d, eps, kind, budget):
+    def test_memory_budget(self, traced_peak, check_peak, n, d, eps, kind, budget):
         points = sample_cloud(UNIFORM, n, d, 0)
         g, peak = traced_peak(build_graph, points, eps, KernelProfile(kind))
-        assert peak <= budget * g.edge_count, f"{peak / g.edge_count:.1f} B/edge"
+        check_peak(peak, g.edge_count, budget, unit="edge")
 
 
 class TestApplyLaplacian:
@@ -652,7 +653,7 @@ class TestMergeSearchsorted:
 N_BLOCKS = 3 * BLOCK + 17
 # peak bytes per point of a d=1 operator build and apply, plus a fixed slack
 # for block-sized work arrays
-MEMORY_BUDGET = 45
+MEMORY_BUDGET = 41
 MEMORY_SLACK = 32 * BLOCK
 
 
@@ -759,6 +760,23 @@ class TestIntervalApplyBitwise:
             _, ref = assert_matches_reference(x, 0.5, signals)
         assert np.any(ref.wraps == 2)
 
+    def test_overlapping_wraps_past_the_first_span(self):
+        # the window of 0.5 - 2^-54 wraps at both ends (see above); among
+        # 3 * BLOCK uniform points it sorts into the second block, so a span
+        # that does not start at 0 derives the count of a twice-wrapped window
+        x = np.concatenate([sample_cloud(UNIFORM, 3 * BLOCK, 1, 83)[:, 0],
+                            [0.5 - 2**-54, 0.5 - 2**-53]])
+        _, ref = assert_matches_reference(x, 0.5, [make_rng(84).standard_normal(x.size)])
+        twice = np.flatnonzero(ref.wraps == 2)
+        assert twice.size and twice.min() >= BLOCK
+
+    def test_too_many_points(self):
+        # a zero-stride view of 2^31 points, so nothing that size is made;
+        # their window ends would wrap in int32
+        x = np.broadcast_to(0.5, (MAX_INTERVAL_POINTS + 1,))
+        with pytest.raises(ValueError, match=f"n={MAX_INTERVAL_POINTS + 1} exceeds"):
+            IntervalLaplacian(x, 0.1)
+
     def test_non_finite_signals_keep_callers_errstate(self):
         # the pool threads run under the caller's NumPy error state: an inf
         # early in u makes every later prefix sum inf and inf - inf invalid
@@ -806,10 +824,10 @@ class TestIntervalApplyBitwise:
         x = np.concatenate([rng.random(N_BLOCKS) * 1e-3, rng.random(300), [0.0005] * 5000])
         assert_matches_reference(x, eps, [rng.standard_normal(x.size)])
 
-    def test_memory_budget(self, traced_peak):
+    def test_memory_budget(self, traced_peak, check_peak):
         # init, then one apply, on its own copy of the points: the operator's
-        # 20 B/pt, u, the prefix sums and the result, plus block-sized work
-        # arrays (in all, 44 B/pt and about 16 * BLOCK bytes)
+        # 16 B/pt, u, the prefix sums and the result, plus block-sized work
+        # arrays (in all, 40 B/pt and about 16 * BLOCK bytes)
         n = 1_000_000
         x = sample_cloud(UNIFORM, n, 1, 77)[:, 0]
 
@@ -821,12 +839,12 @@ class TestIntervalApplyBitwise:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(blocks, "WORKERS", workers)
                 _, peak = traced_peak(init_and_apply)
-            assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{workers}: {peak / n:.2f} B/pt"
+            check_peak(peak, n, MEMORY_BUDGET, MEMORY_SLACK, f"{workers} workers")
 
-    def test_memory_budget_clustered(self, traced_peak):
+    def test_memory_budget_clustered(self, traced_peak, check_peak):
         # 99% of the points in [0, 1e-3): the windows of the sparse points
         # reach into the cluster, whose slice the merge takes BLOCK points at
-        # a time.  The init alone holds the operator's 20 B/pt and its
+        # a time.  The init alone holds the operator's 16 B/pt and its
         # block-sized buffers (about 34 * BLOCK bytes, split among the
         # workers), whatever the density
         n = 1_000_000
@@ -842,8 +860,8 @@ class TestIntervalApplyBitwise:
                 mp.setattr(blocks, "WORKERS", workers)
                 _, init_peak = traced_peak(IntervalLaplacian, x, 0.05)
                 _, peak = traced_peak(init_and_apply)
-            assert init_peak <= 20 * n + 48 * BLOCK, f"{workers}: {init_peak / n:.2f} B/pt"
-            assert peak <= MEMORY_BUDGET * n + MEMORY_SLACK, f"{workers}: {peak / n:.2f} B/pt"
+            check_peak(init_peak, n, 16, 48 * BLOCK, f"{workers} workers, init")
+            check_peak(peak, n, MEMORY_BUDGET, MEMORY_SLACK, f"{workers} workers")
 
     def test_input_not_modified(self):
         u = make_rng(73).standard_normal(200)
